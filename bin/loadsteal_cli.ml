@@ -133,10 +133,18 @@ let print_simulate policy_name params n horizon warmup runs seed service
     match service with
     | "exp" -> Prob.Dist.Exponential
     | "det" -> Prob.Dist.Deterministic
-    | s when String.length s > 7 && String.sub s 0 7 = "erlang:" ->
-        Prob.Dist.Erlang_stages
-          (int_of_string (String.sub s 7 (String.length s - 7)))
-    | other -> failwith ("unknown service distribution " ^ other)
+    | s -> (
+        let stages =
+          if String.starts_with ~prefix:"erlang:" s then
+            int_of_string_opt (String.sub s 7 (String.length s - 7))
+          else None
+        in
+        match stages with
+        | Some c when c >= 1 -> Prob.Dist.Erlang_stages c
+        | Some _ | None ->
+            invalid_arg
+              ("unknown service distribution " ^ s
+             ^ " (expected exp, det or erlang:C with C >= 1)"))
   in
   let config =
     {
@@ -153,28 +161,11 @@ let print_simulate policy_name params n horizon warmup runs seed service
     }
   in
   let summary =
-    if shards = 1 then
-      let fidelity = { Wsim.Runner.runs; horizon; warmup } in
-      Wsim.Runner.replicate ~seed ~fidelity config
-    else begin
-      (* Runner's replication protocol over the sharded engine: streams
-         split from the root in replica order before anything runs,
-         results merged in index order. *)
-      let root = Prob.Rng.create ~seed in
-      let streams = Array.make runs root in
-      for i = 0 to runs - 1 do
-        streams.(i) <- Prob.Rng.split root
-      done;
-      Wsim.Runner.summarize
-        (Array.map
-           (fun rng ->
-             let sim =
-               Wsim.Shard.create ~rng
-                 { Wsim.Shard.cluster = config; shards; latency }
-             in
-             Wsim.Shard.run sim ~horizon ~warmup)
-           streams)
-    end
+    Wsim.Runner.replicate_with ~seed ~runs (fun rng ->
+        Wsim.Shard.run
+          (Wsim.Shard.create ~rng
+             { Wsim.Shard.cluster = config; shards; latency })
+          ~horizon ~warmup)
   in
   Format.printf "policy:          %a@." Wsim.Policy.pp policy;
   Printf.printf "n=%d lambda=%g service=%s runs=%d horizon=%g warmup=%g\n" n
@@ -428,4 +419,17 @@ let main_cmd =
       list_cmd; stability_cmd; check_cmd; drain_cmd;
     ]
 
-let () = exit (Cmd.eval' main_cmd)
+(* Malformed input reaches the library's validators, which raise
+   Invalid_argument (a run that cannot finish raises Failure): report it
+   as one line with cmdliner's "some error" exit code. Anything else is
+   a bug and keeps cmdliner's internal-error report. *)
+let () =
+  match Cmd.eval' ~catch:false main_cmd with
+  | code -> exit code
+  | exception (Invalid_argument reason | Failure reason) ->
+      Printf.eprintf "loadsteal_cli: %s\n%!" reason;
+      exit Cmd.Exit.some_error
+  | exception e ->
+      Printf.eprintf "loadsteal_cli: internal error, uncaught exception: %s\n%!"
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -1,6 +1,5 @@
-(* Engine over a packed future-event set. The shape differs from
-   {!Engine} in three deliberate ways, all serving a zero-allocation
-   dispatch loop without flambda:
+(* Engine over a packed future-event set. Three deliberate shapes serve
+   a zero-allocation dispatch loop without flambda:
 
    - The clock and the current event's aux float live in single-field
      float records ([cell]): such records are flat, so advancing the

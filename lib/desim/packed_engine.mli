@@ -1,11 +1,8 @@
 (** Allocation-free discrete-event engine.
 
-    The packed counterpart of {!Engine}: events are an immediate [int]
-    payload plus one auxiliary [float] (see {!Packed_heap}), and the
-    dispatch loop allocates nothing per event. Ordering semantics are
-    identical to {!Engine} — time order, FIFO among equal times — so a
-    simulation ported onto this engine fires the same events in the same
-    sequence.
+    Events are an immediate [int] payload plus one auxiliary [float]
+    (see {!Packed_heap}), and the dispatch loop allocates nothing per
+    event. Events fire in time order, FIFO among equal times.
 
     The handler is called as [handler payload] with the clock already
     advanced to the event's time; the event's time and aux float are

@@ -10,7 +10,18 @@
     processor) to completion (wherever it ends up), with a warm-up prefix
     discarded as in the paper's protocol. Queue-length occupancy is
     tallied time-weighted per processor, yielding the empirical tail
-    fractions [s_i] for comparison with fixed points. *)
+    fractions [s_i] for comparison with fixed points.
+
+    {b One core, two entries.} Per-processor state lives in flat
+    Bigarray lanes indexed by processor id, partitioned into contiguous
+    shards that each own an engine, an RNG stream, their processors'
+    {!Task_queues} and their statistics. {!create} builds one shard:
+    the caller's generator drives every draw, every policy and option
+    is available, and every steal is local and instantaneous. {!Shard}
+    builds several, for n ≥ 10⁷, through {!create_sharded} and
+    {!run_sharded}, and then runs only the single-probe tail-steal
+    policies (see {!Shard}). At [shards = 1] both entries run the same
+    code on the same draws. *)
 
 type scheduler = Desim.Packed_engine.scheduler = Heap | Calendar
 (** Future-event set used by the engine, re-exported from
@@ -77,7 +88,8 @@ type t
 (** A simulation instance (engine + processors + statistics). *)
 
 val create : ?engine:Desim.Packed_engine.t -> rng:Prob.Rng.t -> config -> t
-(** [create ?engine ~rng cfg] builds a simulation instance. When
+(** [create ?engine ~rng cfg] builds a single-shard simulation instance
+    (any [n] up to 2{^24}). When
     [engine] is provided and was created with the same scheduler as
     [cfg.scheduler], it is {!Desim.Packed_engine.clear}ed and reused —
     replication sweeps use this to keep one warm engine per domain
@@ -126,3 +138,23 @@ val run_static :
     spawn rate that dies out); all completions are measured. [max_events]
     (default 200 million) guards against non-terminating configurations.
     @raise Failure if the guard trips. *)
+
+(** {1 Sharded runs}
+
+    The entry points behind {!Shard}, which documents the model
+    restrictions and the determinism contract of several shards. *)
+
+val create_sharded :
+  rng:Prob.Rng.t -> shards:int -> latency:float -> config -> t
+(** [create_sharded ~rng ~shards ~latency cfg] partitions the processors
+    into [shards] contiguous shards; with [shards = 1] it is {!create}
+    without an engine to reuse. Errors name [Shard.create]. {!advance},
+    {!run_observed} and {!run_static} reject an instance with several
+    shards.
+    @raise Invalid_argument on malformed or unshardable configuration. *)
+
+val run_sharded :
+  ?pool:Parallel.Pool.t -> t -> horizon:float -> warmup:float -> result
+(** {!run} for any shard count: several shards advance in conservative
+    lookahead rounds on [pool] (default {!Parallel.Pool.default}), whose
+    size never changes the result. *)

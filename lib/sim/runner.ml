@@ -82,26 +82,18 @@ let borrowed_engine (config : Cluster.config) =
              ~scheduler:config.Cluster.scheduler ()));
   match !slot with Some e -> e | None -> assert false
 
+let replicate_with ?pool ~seed ~runs run_one =
+  if runs < 1 then invalid_arg "Runner: need runs >= 1";
+  summarize
+    (Parallel.Pool.map_array (resolve_pool pool) run_one
+       (split_streams (Rng.create ~seed) runs))
+
 let replicate ?pool ~seed ~(fidelity : fidelity) config =
-  if fidelity.runs < 1 then invalid_arg "Runner.replicate: need runs >= 1";
-  let streams = split_streams (Rng.create ~seed) fidelity.runs in
-  let results =
-    Parallel.Pool.map_array (resolve_pool pool)
-      (fun rng ->
-        let sim = Cluster.create ~engine:(borrowed_engine config) ~rng config in
-        Cluster.run sim ~horizon:fidelity.horizon ~warmup:fidelity.warmup)
-      streams
-  in
-  summarize results
+  replicate_with ?pool ~seed ~runs:fidelity.runs (fun rng ->
+      let sim = Cluster.create ~engine:(borrowed_engine config) ~rng config in
+      Cluster.run sim ~horizon:fidelity.horizon ~warmup:fidelity.warmup)
 
 let replicate_static ?pool ~seed ~runs config =
-  if runs < 1 then invalid_arg "Runner.replicate_static: need runs >= 1";
-  let streams = split_streams (Rng.create ~seed) runs in
-  let results =
-    Parallel.Pool.map_array (resolve_pool pool)
-      (fun rng ->
-        let sim = Cluster.create ~engine:(borrowed_engine config) ~rng config in
-        Cluster.run_static sim)
-      streams
-  in
-  summarize results
+  replicate_with ?pool ~seed ~runs (fun rng ->
+      Cluster.run_static
+        (Cluster.create ~engine:(borrowed_engine config) ~rng config))

@@ -50,6 +50,20 @@ val summarize : Cluster.result array -> summary
     two contributing runs, and [steal_success_rate] is [nan] when no
     steal was ever attempted. *)
 
+val replicate_with :
+  ?pool:Parallel.Pool.t ->
+  seed:int ->
+  runs:int ->
+  (Prob.Rng.t -> Cluster.result) ->
+  summary
+(** The replication protocol over any single-run function: [runs]
+    streams are split from [seed] in replica order before anything is
+    dispatched, replica [i] calls the function on stream [i] across
+    [pool], and {!summarize} merges the results in index order. The
+    entries below are instances of it; the CLI runs {!Shard} replicas
+    through it.
+    @raise Invalid_argument if [runs < 1]. *)
+
 val replicate :
   ?pool:Parallel.Pool.t ->
   seed:int ->

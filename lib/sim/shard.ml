@@ -1,661 +1,9 @@
-open Prob
-
-(* Sharded counterpart of {!Cluster}: the processor set is partitioned
-   into contiguous shards, each owning a {!Desim.Packed_engine}, a
-   pre-split RNG stream and its slice of the per-processor state lanes.
-   Cross-shard steals travel as timestamped {!Mailbox} messages and the
-   shards advance in conservative lookahead windows (see the round loop
-   in [run]): the Section 3.2 transfer latency [L] bounds how far ahead
-   of the global minimum any message stamp can land, so every window is
-   provably free of inbound surprises — conservative PDES, not an
-   approximation.
-
-   Per-processor state lives in flat Bigarray lanes instead of records:
-   lanes are allocated outside the OCaml heap, so shards mutating their
-   own slices share no cache lines with the GC and no headers with each
-   other. Queue stamps live in one bump-allocated arena per shard (a
-   ring segment per processor, grown by doubling; the old segment is
-   abandoned to the bump allocator, which is bounded by the geometric
-   series over a queue's growth history). *)
-
-type config = {
-  cluster : Cluster.config;
-  shards : int;
-  latency : float;
-}
-
-(* Pre-resolved stealing rule, so the hot path never matches the full
-   policy variant. Only single-probe tail-steal policies are supported:
-   a remote victim's load cannot be read synchronously, so multi-choice
-   probing (choices > 1) and load-comparing policies are rejected in
-   [create]. *)
-type rule =
-  | No_steal
-  | Fixed of { threshold : int; steal_count : int }
-  | Half of { threshold : int }
-
-type flane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type ilane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type blane =
-  (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* all-float single-field record: flat representation, unboxed stores *)
-type cell = { mutable v : float }
-
-type shard = {
-  sid : int;
-  lo : int; (* first owned processor id *)
-  hi : int; (* one past the last owned processor id *)
-  rng : Rng.t;
-  engine : Desim.Packed_engine.t;
-  mutable arena : flane; (* queue stamp storage, bump-allocated *)
-  mutable bump : int;
-  sojourn : Stats.t;
-  p50 : P2_quantile.t;
-  p95 : P2_quantile.t;
-  p99 : P2_quantile.t;
-  occupancy : Histogram.Counts.t;
-  (* flat float cell: a [mutable float] field in this mixed record
-     would box on every store (flagged by the zero-alloc lint) *)
-  transit : cell;
-  mutable steal_attempts : int;
-  mutable steal_successes : int;
-  mutable tasks_stolen : int;
-  mutable scratch : float array; (* reused stamp buffer for multi-steals *)
-  outboxes : Mailbox.t array; (* row [sid] of the mailbox matrix *)
-  mutable handler : int -> unit;
-}
-
-type t = {
-  n : int;
-  arrival_rate : float;
-  service : Dist.service;
-  rule : rule;
-  latency : float;
-  (* contiguous partition: the first [rem] shards own [base + 1]
-     processors, the rest own [base]; [cut = rem * (base + 1)] is the
-     first id of the equal-sized tail *)
-  base : int;
-  rem : int;
-  cut : int;
-  in_service : flane;
-  load_since : flane;
-  busy : blane;
-  speeds : flane option;
-  q_off : ilane;
-  q_cap : ilane; (* power of two *)
-  q_head : ilane;
-  q_len : ilane;
-  shards : shard array;
-  mailboxes : Mailbox.t array array; (* mailboxes.(src).(dst) *)
-  mutable warmup : float;
-  mutable horizon : float;
-}
-
-let[@inline] shard_of t id =
-  if id < t.cut then id / (t.base + 1) else t.rem + ((id - t.cut) / t.base)
-
-let[@inline] load t p = t.q_len.{p} + t.busy.{p}
-let[@inline] now sh = Desim.Packed_engine.now sh.engine
-
-let events_dispatched t =
-  Array.fold_left
-    (fun acc sh -> acc + Desim.Packed_engine.dispatched sh.engine)
-    0 t.shards
-
-let shard_count t = Array.length t.shards
-
-(* ---- packed event encoding ----
-
-   bits 0..2   tag (0 Arrival, 1 Completion, 2 Steal_req, 3 Delivery)
-   bits 3..26  processor id [a] (so n <= 2^24)
-   bits 27..50 processor id [b] (the thief of a Steal_req)
-
-   A Delivery's payload — the stolen task's arrival stamp — rides the
-   engine's auxiliary float lane, exactly as in {!Cluster}. *)
-
-let tag_arrival = 0
-let tag_completion = 1
-let tag_steal_req = 2
-let tag_delivery = 3
-let max_procs = 1 lsl 24
-let[@inline] ev ~tag ~a ~b = tag lor (a lsl 3) lor (b lsl 27)
-let[@inline] ev_tag p = p land 7
-let[@inline] ev_a p = (p lsr 3) land (max_procs - 1)
-let[@inline] ev_b p = p lsr 27
-
-(* ---- per-processor ring queues in the shard arena ----
-
-   The same front/back discipline as {!Fdeque}, over [q_off .. q_off +
-   q_cap) of the owning shard's arena, with power-of-two capacities so
-   the wrap is a mask. *)
-
-(* lint: allow zero-alloc: Bigarray ring-segment doubling, amortized O(1) and absent in steady state *)
-let grow_queue t sh p =
-  let cap = t.q_cap.{p} in
-  let off = t.q_off.{p} in
-  let head = t.q_head.{p} in
-  let len = t.q_len.{p} in
-  let ncap = 2 * cap in
-  if sh.bump + ncap > Bigarray.Array1.dim sh.arena then begin
-    let dim = Bigarray.Array1.dim sh.arena in
-    let ndim = max (2 * dim) (sh.bump + ncap) in
-    let fresh = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout ndim in
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub sh.arena 0 sh.bump)
-      (Bigarray.Array1.sub fresh 0 sh.bump);
-    sh.arena <- fresh
-  end;
-  let noff = sh.bump in
-  sh.bump <- sh.bump + ncap;
-  let arena = sh.arena in
-  for i = 0 to len - 1 do
-    arena.{noff + i} <- arena.{off + ((head + i) land (cap - 1))}
-  done;
-  t.q_off.{p} <- noff;
-  t.q_cap.{p} <- ncap;
-  t.q_head.{p} <- 0
-
-let[@inline] queue_push_back t sh p x =
-  let len = t.q_len.{p} in
-  if len = t.q_cap.{p} then grow_queue t sh p;
-  let off = t.q_off.{p} and head = t.q_head.{p} and cap = t.q_cap.{p} in
-  sh.arena.{off + ((head + len) land (cap - 1))} <- x;
-  t.q_len.{p} <- len + 1
-
-let[@inline] queue_pop_front t sh p =
-  let off = t.q_off.{p} and head = t.q_head.{p} and cap = t.q_cap.{p} in
-  let x = sh.arena.{off + head} in
-  t.q_head.{p} <- (head + 1) land (cap - 1);
-  t.q_len.{p} <- t.q_len.{p} - 1;
-  x
-
-let[@inline] queue_pop_back t sh p =
-  let off = t.q_off.{p} and head = t.q_head.{p} and cap = t.q_cap.{p} in
-  let len = t.q_len.{p} - 1 in
-  let x = sh.arena.{off + ((head + len) land (cap - 1))} in
-  t.q_len.{p} <- len;
-  x
-
-(* ---- time-weighted occupancy (as in Cluster.note_load) ---- *)
-
-let note_load t sh p =
-  let tnow = now sh in
-  if tnow > t.warmup then begin
-    let since = t.load_since.{p} in
-    let from = if since > t.warmup then since else t.warmup in
-    if tnow > from then
-      Histogram.Counts.weighted_add sh.occupancy (load t p) (tnow -. from)
-  end;
-  t.load_since.{p} <- tnow
-
-(* ---- service ---- *)
-
-let[@inline] exp_delay sh rate = Dist.exponential sh.rng ~rate
-
-let[@inline] start_service t sh p stamp =
-  t.busy.{p} <- 1;
-  t.in_service.{p} <- stamp;
-  let s = Dist.service_mean_one sh.rng t.service in
-  let duration = match t.speeds with None -> s | Some sp -> s /. sp.{p} in
-  Desim.Packed_engine.schedule_after sh.engine ~delay:duration
-    ~payload:(ev ~tag:tag_completion ~a:p ~b:0)
-    ~aux:0.0
-
-let[@inline] add_task t sh p stamp =
-  note_load t sh p;
-  if t.busy.{p} = 1 then queue_push_back t sh p stamp
-  else start_service t sh p stamp
-
-let[@inline] remove_tail_task t sh v =
-  note_load t sh v;
-  queue_pop_back t sh v
-
-(* ---- stealing ---- *)
-
-let[@inline] random_other t sh self =
-  let r = Rng.int sh.rng (t.n - 1) in
-  if r >= self then r + 1 else r
-
-(* How many tasks the rule takes from a victim at load [vload]; 0 means
-   the attempt misses. Positive exactly when [vload >= threshold], so
-   the success counters match {!Cluster}'s. *)
-let[@inline] steal_count_for t ~vload =
-  match t.rule with
-  | Fixed { threshold; steal_count } ->
-      if vload >= threshold then min steal_count (vload - 1) else 0
-  | Half { threshold } -> if vload >= threshold then vload / 2 else 0
-  | No_steal -> 0
-
-let[@inline] pop_into_scratch t sh ~victim ~count =
-  if count > Array.length sh.scratch then
-    (* lint: allow zero-alloc: scratch doubling, amortized O(1) and absent once warmed up *)
-    sh.scratch <- Array.make (max count (2 * Array.length sh.scratch)) 0.0;
-  let stamps = sh.scratch in
-  for i = count - 1 downto 0 do
-    stamps.(i) <- remove_tail_task t sh victim
-  done;
-  stamps
-
-let transfer_local t sh ~victim ~thief ~count =
-  let stamps = pop_into_scratch t sh ~victim ~count in
-  for i = 0 to count - 1 do
-    add_task t sh thief stamps.(i)
-  done
-
-(* A steal attempt by the idle processor [p]. The victim is drawn from
-   the full cluster; a shard-local victim is robbed synchronously
-   (byte-for-byte the {!Cluster} path), a remote one receives a steal
-   request stamped one transfer latency ahead — the victim decides
-   against its own load at that future time, which is what nonzero
-   transfer time means physically and what makes the lookahead sound. *)
-let attempt_steal t sh p =
-  sh.steal_attempts <- sh.steal_attempts + 1;
-  let v = random_other t sh p in
-  if v >= sh.lo && v < sh.hi then begin
-    let count = steal_count_for t ~vload:(load t v) in
-    if count > 0 then begin
-      sh.steal_successes <- sh.steal_successes + 1;
-      sh.tasks_stolen <- sh.tasks_stolen + count;
-      transfer_local t sh ~victim:v ~thief:p ~count
-    end
-  end
-  else
-    Mailbox.push sh.outboxes.(shard_of t v)
-      ~time:(now sh +. t.latency)
-      ~payload:(ev ~tag:tag_steal_req ~a:v ~b:p)
-      ~aux:0.0
-
-(* Victim side of a remote steal: grant against the local load, ship
-   each stolen stamp as its own Delivery one further latency out (FIFO
-   through the mailbox, so the thief enqueues them in the same relative
-   order a local transfer would). The stolen tasks' time in flight is
-   integrated here, clipped to the measurement window — the sharded
-   analogue of Cluster's Timeavg over in-transit counts. *)
-let on_steal_req t sh ~victim ~thief =
-  let count = steal_count_for t ~vload:(load t victim) in
-  if count > 0 then begin
-    sh.steal_successes <- sh.steal_successes + 1;
-    sh.tasks_stolen <- sh.tasks_stolen + count;
-    let stamps = pop_into_scratch t sh ~victim ~count in
-    let tnow = now sh in
-    let arrive = tnow +. t.latency in
-    let box = sh.outboxes.(shard_of t thief) in
-    for i = 0 to count - 1 do
-      Mailbox.push box ~time:arrive
-        ~payload:(ev ~tag:tag_delivery ~a:thief ~b:0)
-        ~aux:stamps.(i)
-    done;
-    let from = if tnow > t.warmup then tnow else t.warmup in
-    let til = if arrive < t.horizon then arrive else t.horizon in
-    if til > from then
-      sh.transit.v <- sh.transit.v +. (float_of_int count *. (til -. from))
-  end
-
-(* ---- event handlers ---- *)
-
-let on_completion t sh p =
-  note_load t sh p;
-  let tnow = now sh in
-  if tnow >= t.warmup then begin
-    let sojourn = tnow -. t.in_service.{p} in
-    Stats.add sh.sojourn sojourn;
-    P2_quantile.add sh.p50 sojourn;
-    P2_quantile.add sh.p95 sojourn;
-    P2_quantile.add sh.p99 sojourn
-  end;
-  if t.q_len.{p} = 0 then begin
-    t.busy.{p} <- 0;
-    t.in_service.{p} <- nan
-  end
-  else begin
-    let next = queue_pop_front t sh p in
-    start_service t sh p next
-  end;
-  match t.rule with
-  | No_steal -> ()
-  | Fixed _ | Half _ -> if load t p = 0 then attempt_steal t sh p
-
-let on_arrival t sh p =
-  if t.arrival_rate > 0.0 then
-    Desim.Packed_engine.schedule_after sh.engine
-      ~delay:(exp_delay sh t.arrival_rate)
-      ~payload:(ev ~tag:tag_arrival ~a:p ~b:0)
-      ~aux:0.0;
-  add_task t sh p (now sh)
-
-let handle t sh packed =
-  match ev_tag packed with
-  | 0 (* Arrival *) -> on_arrival t sh (ev_a packed)
-  | 1 (* Completion *) -> on_completion t sh (ev_a packed)
-  | 2 (* Steal_req *) ->
-      on_steal_req t sh ~victim:(ev_a packed) ~thief:(ev_b packed)
-  | 3 (* Delivery *) ->
-      add_task t sh (ev_a packed) (Desim.Packed_engine.aux sh.engine)
-  | _ -> assert false
-
-(* ---- lifecycle ---- *)
+type config = { cluster : Cluster.config; shards : int; latency : float }
+type t = Cluster.t
 
 let create ~rng cfg =
-  let c = cfg.cluster in
-  Policy.validate c.policy;
-  let rule =
-    let reject_probing choices =
-      if choices <> 1 then
-        invalid_arg
-          "Shard.create: multi-choice probing reads remote loads; only \
-           choices = 1 is shardable"
-    in
-    match c.policy with
-    | Policy.No_stealing -> No_steal
-    | Policy.On_empty { threshold; choices; steal_count } ->
-        reject_probing choices;
-        Fixed { threshold; steal_count }
-    | Policy.Steal_half { threshold; choices } ->
-        reject_probing choices;
-        Half { threshold }
-    | Policy.Preemptive _ | Policy.Repeated _ | Policy.Transfer _
-    | Policy.Rebalance _ | Policy.Ring_steal _ ->
-        invalid_arg
-          "Shard.create: unsupported policy (no-stealing, on-empty and \
-           steal-half with choices = 1 shard)"
-  in
-  if c.n < 1 then invalid_arg "Shard.create: need at least 1 processor";
-  if c.n > max_procs then
-    invalid_arg "Shard.create: more than 2^24 processors";
-  (match rule with
-  | No_steal -> ()
-  | Fixed _ | Half _ ->
-      if c.n < 2 then
-        invalid_arg "Shard.create: stealing needs at least 2 processors");
-  if c.arrival_rate < 0.0 then
-    invalid_arg "Shard.create: negative arrival rate";
-  if not (Float.equal c.spawn_rate 0.0) then
-    invalid_arg "Shard.create: spawn_rate must be 0 (spawn timers probe load)";
-  if c.placement <> 1 then
-    invalid_arg "Shard.create: placement probing reads remote loads";
-  if not (Float.equal c.batch_mean 1.0) then
-    invalid_arg "Shard.create: batch_mean must be 1";
-  if c.initial_load < 0 then invalid_arg "Shard.create: negative initial load";
-  if cfg.shards < 1 then invalid_arg "Shard.create: need at least 1 shard";
-  if cfg.shards > c.n then
-    invalid_arg "Shard.create: more shards than processors";
-  if cfg.shards > 1 && not (cfg.latency > 0.0) then
-    invalid_arg "Shard.create: cross-shard stealing needs latency > 0";
-  (match c.speeds with
-  | Some sp ->
-      if Array.length sp <> c.n then
-        invalid_arg "Shard.create: speeds array has wrong length";
-      Array.iter
-        (fun s ->
-          if s <= 0.0 then invalid_arg "Shard.create: speeds must be positive")
-        sp
-  | None -> ());
-  let n = c.n in
-  let s = cfg.shards in
-  let base = n / s in
-  let rem = n mod s in
-  let cut = rem * (base + 1) in
-  let bound sid = if sid <= rem then sid * (base + 1) else cut + ((sid - rem) * base) in
-  let fl len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  let il len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  let in_service = fl n and load_since = fl n in
-  Bigarray.Array1.fill in_service nan;
-  Bigarray.Array1.fill load_since 0.0;
-  let busy = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout n in
-  Bigarray.Array1.fill busy 0;
-  let speeds =
-    match c.speeds with
-    | None -> None
-    | Some sp ->
-        let lane = fl n in
-        Array.iteri (fun i v -> lane.{i} <- v) sp;
-        Some lane
-  in
-  (* initial ring capacity: a power of two with room for the seeded
-     backlog, so startup never leaks grown segments *)
-  let cap0 =
-    let want = max 4 (c.initial_load + 2) in
-    let rec go x = if x >= want then x else go (2 * x) in
-    go 4
-  in
-  let q_off = il n and q_cap = il n and q_head = il n and q_len = il n in
-  Bigarray.Array1.fill q_cap cap0;
-  Bigarray.Array1.fill q_head 0;
-  Bigarray.Array1.fill q_len 0;
-  (* per-shard RNG streams split from the root in shard order; a single
-     shard uses the caller's generator directly, so the run is
-     draw-for-draw identical to {!Cluster} *)
-  let streams = Array.make s rng in
-  if s > 1 then
-    for i = 0 to s - 1 do
-      streams.(i) <- Rng.split rng
-    done;
-  let mailboxes =
-    Array.init s (fun _ -> Array.init s (fun _ -> Mailbox.create ()))
-  in
-  let shards =
-    Array.init s (fun sid ->
-        let lo = bound sid and hi = bound (sid + 1) in
-        let shard_n = hi - lo in
-        for p = lo to hi - 1 do
-          q_off.{p} <- (p - lo) * cap0
-        done;
-        {
-          sid;
-          lo;
-          hi;
-          rng = streams.(sid);
-          engine =
-            Desim.Packed_engine.create ~capacity:(4 * shard_n)
-              ~scheduler:c.scheduler ();
-          arena = fl (shard_n * cap0);
-          bump = shard_n * cap0;
-          sojourn = Stats.create ();
-          p50 = P2_quantile.create ~p:0.50;
-          p95 = P2_quantile.create ~p:0.95;
-          p99 = P2_quantile.create ~p:0.99;
-          occupancy = Histogram.Counts.create ();
-          transit = { v = 0.0 };
-          steal_attempts = 0;
-          steal_successes = 0;
-          tasks_stolen = 0;
-          scratch = Array.make 8 0.0;
-          outboxes = mailboxes.(sid);
-          handler = ignore;
-        })
-  in
-  let t =
-    {
-      n;
-      arrival_rate = c.arrival_rate;
-      service = c.service;
-      rule;
-      latency = cfg.latency;
-      base;
-      rem;
-      cut;
-      in_service;
-      load_since;
-      busy;
-      speeds;
-      q_off;
-      q_cap;
-      q_head;
-      q_len;
-      shards;
-      mailboxes;
-      warmup = 0.0;
-      horizon = infinity;
-    }
-  in
-  Array.iter
-    (fun sh ->
-      sh.handler <- (fun packed -> handle t sh packed);
-      (* seed the initial backlog, then the first external arrivals —
-         the same per-processor order as Cluster.create *)
-      for p = sh.lo to sh.hi - 1 do
-        for _ = 1 to c.initial_load do
-          add_task t sh p 0.0
-        done
-      done;
-      if c.arrival_rate > 0.0 then
-        for p = sh.lo to sh.hi - 1 do
-          Desim.Packed_engine.schedule_after sh.engine
-            ~delay:(exp_delay sh c.arrival_rate)
-            ~payload:(ev ~tag:tag_arrival ~a:p ~b:0)
-            ~aux:0.0
-        done)
-    shards;
-  t
+  Cluster.create_sharded ~rng ~shards:cfg.shards ~latency:cfg.latency
+    cfg.cluster
 
-(* ---- result assembly ---- *)
-
-let flush_occupancy t sh =
-  for p = sh.lo to sh.hi - 1 do
-    note_load t sh p
-  done
-
-(* Count-weighted combination of per-shard P² estimates. P² markers
-   cannot be merged exactly; the weighted mean is exact whenever one
-   shard holds all the samples (in particular at a single shard) and a
-   close, deterministic estimate otherwise. *)
-let merged_quantile shards get =
-  let tot = ref 0 and acc = ref 0.0 and nonzero = ref 0 and last = ref nan in
-  Array.iter
-    (fun sh ->
-      let est = get sh in
-      let count = P2_quantile.count est in
-      if count > 0 then begin
-        incr nonzero;
-        let q = P2_quantile.quantile est in
-        last := q;
-        tot := !tot + count;
-        acc := !acc +. (float_of_int count *. q)
-      end)
-    shards;
-  if !nonzero = 0 then nan
-  else if !nonzero = 1 then !last
-  else !acc /. float_of_int !tot
-
-let collect t ~duration =
-  let shards = t.shards in
-  let sojourn = ref shards.(0).sojourn in
-  let occupancy = ref shards.(0).occupancy in
-  for i = 1 to Array.length shards - 1 do
-    sojourn := Stats.merge !sojourn shards.(i).sojourn;
-    occupancy := Histogram.Counts.merge !occupancy shards.(i).occupancy
-  done;
-  let sojourn = !sojourn and occupancy = !occupancy in
-  let queue_avg =
-    let total = Histogram.Counts.total_weight occupancy in
-    if total <= 0.0 then nan
-    else begin
-      let acc = ref 0.0 in
-      for i = 1 to Histogram.Counts.max_index occupancy do
-        acc :=
-          !acc +. (float_of_int i *. Histogram.Counts.probability occupancy i)
-      done;
-      !acc
-    end
-  in
-  let transit_per_proc =
-    let total =
-      Array.fold_left (fun acc sh -> acc +. sh.transit.v) 0.0 shards
-    in
-    total /. duration /. float_of_int t.n
-  in
-  let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 shards in
-  {
-    Cluster.duration;
-    completed = Stats.count sojourn;
-    mean_sojourn = Stats.mean sojourn;
-    sojourn_ci95 = Stats.ci95_halfwidth sojourn;
-    sojourn_p50 = merged_quantile shards (fun sh -> sh.p50);
-    sojourn_p95 = merged_quantile shards (fun sh -> sh.p95);
-    sojourn_p99 = merged_quantile shards (fun sh -> sh.p99);
-    mean_load = queue_avg +. transit_per_proc;
-    tail = (fun i -> Histogram.Counts.tail occupancy i);
-    steal_attempts = sum (fun sh -> sh.steal_attempts);
-    steal_successes = sum (fun sh -> sh.steal_successes);
-    tasks_stolen = sum (fun sh -> sh.tasks_stolen);
-    rebalances = 0;
-    makespan = nan;
-  }
-
-(* ---- the conservative round loop ----
-
-   Invariant: every message generated while some shard processes events
-   in a window [clock, W) is stamped at least T + L, where T is the
-   global minimum next-event time computed after draining all inboxes
-   and L the transfer latency — each message is sent exactly L (steal
-   requests) past its generating event, which itself is at or past T.
-   With W = T + L, no in-window event can be affected by any message
-   still in flight, so shards advance their windows independently; the
-   two pool barriers per round (drain+min, advance) are also the
-   happens-before edges that hand mailboxes between shards. All drain
-   and tie-break orders are fixed by shard index and push order, so the
-   trajectory is bit-identical at any fixed shard count, whatever the
-   pool size. *)
-
-let drain_inboxes t sh =
-  let engine = sh.engine in
-  for src = 0 to Array.length t.shards - 1 do
-    Mailbox.drain t.mailboxes.(src).(sh.sid) ~f:(fun ~time ~payload ~aux ->
-        Desim.Packed_engine.schedule engine ~at:time ~payload ~aux)
-  done
-
-let run ?pool t ~horizon ~warmup =
-  if warmup < 0.0 || warmup >= horizon then
-    invalid_arg "Shard.run: need 0 <= warmup < horizon";
-  t.warmup <- warmup;
-  t.horizon <- horizon;
-  let s = Array.length t.shards in
-  if s = 1 then begin
-    (* no peers, no messages: one inclusive advance, exactly Cluster.run *)
-    let sh = t.shards.(0) in
-    Desim.Packed_engine.run ~until:horizon sh.engine ~handler:sh.handler;
-    flush_occupancy t sh
-  end
-  else begin
-    let pool =
-      match pool with Some p -> p | None -> Parallel.Pool.default ()
-    in
-    let continue = ref true in
-    while !continue do
-      let mins =
-        Parallel.Pool.map_int pool
-          (fun i ->
-            let sh = t.shards.(i) in
-            drain_inboxes t sh;
-            Desim.Packed_engine.next_time sh.engine)
-          s
-      in
-      let tmin = Array.fold_left (fun a b -> if b < a then b else a) infinity mins in
-      let w = tmin +. t.latency in
-      if w > horizon then begin
-        (* final round, inclusive of the horizon: anything generated
-           here is stamped past T + L > horizon, so undrained messages
-           are exactly the tasks still in flight at the horizon *)
-        ignore
-          (Parallel.Pool.map_int pool
-             (fun i ->
-               let sh = t.shards.(i) in
-               Desim.Packed_engine.run ~until:horizon sh.engine
-                 ~handler:sh.handler;
-               flush_occupancy t sh)
-             s);
-        continue := false
-      end
-      else
-        ignore
-          (Parallel.Pool.map_int pool
-             (fun i ->
-               let sh = t.shards.(i) in
-               Desim.Packed_engine.advance_until ~upto:w sh.engine
-                 ~handler:sh.handler)
-             s)
-    done
-  end;
-  collect t ~duration:(horizon -. warmup)
+let run = Cluster.run_sharded
+let events_dispatched = Cluster.events_dispatched

@@ -70,6 +70,27 @@ let test_fixpoint_rejects_unknown_model () =
   let code, _ = run "fixpoint --model no-such-model --lambda 0.8" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
+(* Invalid input ends in one "loadsteal_cli: <reason>" line and a
+   cmdliner error code (123 some error, 124 command-line error), never
+   in an uncaught-exception report (125). *)
+let rejects args =
+  Alcotest.test_case args `Quick (fun () ->
+      let code, out = run args in
+      Alcotest.(check bool)
+        (Printf.sprintf "exit code %d is 123 or 124" code)
+        true
+        (code = 123 || code = 124);
+      match String.split_on_char '\n' (String.trim out) with
+      | [ line ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the program" line)
+            true
+            (String.starts_with ~prefix:"loadsteal_cli: " line
+            && not (contains line "uncaught exception"))
+      | lines ->
+          Alcotest.failf "expected one line, got %d:\n%s" (List.length lines)
+            out)
+
 let () =
   Alcotest.run "cli"
     [
@@ -84,4 +105,15 @@ let () =
           Alcotest.test_case "rejects unknown model" `Quick
             test_fixpoint_rejects_unknown_model;
         ] );
+      ( "bad input",
+        List.map rejects
+          [
+            "simulate --procs 1";
+            "simulate --shards 2 --policy preemptive";
+            "simulate --shards 2 --latency 0";
+            "simulate --warmup 200 --horizon 100";
+            "simulate --runs 0";
+            "simulate --service bogus";
+            "fixpoint --lambda 1.5";
+          ] );
     ]

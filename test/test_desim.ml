@@ -560,56 +560,6 @@ let test_packed_engine_window () =
         (Desim.Packed_engine.now e))
     [ Desim.Packed_engine.Heap; Desim.Packed_engine.Calendar ]
 
-(* ---------- Engine ---------- *)
-
-let test_engine_run_order () =
-  let e = Desim.Engine.create () in
-  Desim.Engine.schedule e ~at:2.0 "b";
-  Desim.Engine.schedule e ~at:1.0 "a";
-  Desim.Engine.schedule e ~at:3.0 "c";
-  let seen = ref [] in
-  Desim.Engine.run ~until:2.5 e ~handler:(fun t ev ->
-      seen := (t, ev) :: !seen);
-  Alcotest.(check (list (pair (float 1e-12) string)))
-    "events up to horizon"
-    [ (1.0, "a"); (2.0, "b") ]
-    (List.rev !seen);
-  check_float "clock at horizon" 2.5 (Desim.Engine.now e);
-  Alcotest.(check int) "c still pending" 1 (Desim.Engine.pending e)
-
-let test_engine_handler_schedules () =
-  let e = Desim.Engine.create () in
-  Desim.Engine.schedule e ~at:1.0 1;
-  let count = ref 0 in
-  Desim.Engine.run ~until:10.0 e ~handler:(fun _ n ->
-      incr count;
-      if n < 5 then Desim.Engine.schedule_after e ~delay:1.0 (n + 1));
-  Alcotest.(check int) "cascade" 5 !count
-
-let test_engine_rejects_past () =
-  let e = Desim.Engine.create () in
-  Desim.Engine.schedule e ~at:5.0 ();
-  (match Desim.Engine.next e with Some _ -> () | None -> Alcotest.fail "?");
-  Alcotest.check_raises "past"
-    (Invalid_argument "Engine.schedule: event in the past") (fun () ->
-      Desim.Engine.schedule e ~at:1.0 ())
-
-let test_engine_negative_delay () =
-  let e = Desim.Engine.create () in
-  Alcotest.check_raises "delay"
-    (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
-      Desim.Engine.schedule_after e ~delay:(-1.0) ())
-
-let test_engine_run_until_empty () =
-  let e = Desim.Engine.create () in
-  Desim.Engine.schedule e ~at:1.0 3;
-  let total = ref 0 in
-  Desim.Engine.run_until_empty e ~handler:(fun _ n ->
-      total := !total + n;
-      if n > 1 then Desim.Engine.schedule_after e ~delay:0.5 (n - 1));
-  Alcotest.(check int) "sum" 6 !total;
-  check_float "final clock" 2.0 (Desim.Engine.now e)
-
 let () =
   Alcotest.run "desim"
     [
@@ -623,19 +573,6 @@ let () =
           Alcotest.test_case "clear" `Quick test_heap_clear;
           QCheck_alcotest.to_alcotest qcheck_heap_sorts;
           QCheck_alcotest.to_alcotest qcheck_heap_preserves_multiset;
-        ] );
-      ( "engine",
-        [
-          Alcotest.test_case "run order and clock" `Quick
-            test_engine_run_order;
-          Alcotest.test_case "handler schedules more" `Quick
-            test_engine_handler_schedules;
-          Alcotest.test_case "rejects past events" `Quick
-            test_engine_rejects_past;
-          Alcotest.test_case "rejects negative delay" `Quick
-            test_engine_negative_delay;
-          Alcotest.test_case "run until empty" `Quick
-            test_engine_run_until_empty;
         ] );
       ( "packed_heap",
         [

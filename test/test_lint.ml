@@ -153,7 +153,8 @@ let test_domain_safety_negative () =
 let test_domain_safety_whitelisted_file () =
   check_rules "cluster.ml is whitelisted per-replica state" []
     ~path:"lib/sim/cluster.ml" "type t = { mutable busy : bool }\n";
-  check_rules "shard.ml owns its Bigarray lanes" [] ~path:"lib/sim/shard.ml"
+  check_rules "cluster.ml owns its Bigarray lanes" []
+    ~path:"lib/sim/cluster.ml"
     "let go pool lane =\n\
     \  Parallel.Pool.map_int pool (fun i -> lane.{i} <- 0.0) 4\n"
 

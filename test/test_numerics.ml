@@ -1,5 +1,5 @@
 (* Tests for the numerics substrate: vectors, ODE integrators, root
-   finding, fixed-point iteration, acceleration and series summation. *)
+   finding, acceleration, interpolation and quadrature. *)
 
 open Numerics
 
@@ -273,35 +273,6 @@ let test_quadratic_stable () =
   let r = Root.solve_quadratic_smaller ~b:(-1e8) ~c:1.0 in
   check_close 1e-18 "tiny root" 1e-8 r
 
-(* ---------- Fixpoint ---------- *)
-
-let test_fixpoint_scalar () =
-  let x, outcome = Fixpoint.scalar cos ~x0:1.0 in
-  (match outcome with
-  | Fixpoint.Converged _ -> ()
-  | Fixpoint.Diverged _ -> Alcotest.fail "diverged");
-  check_close 1e-10 "dottie" 0.7390851332151607 x
-
-let test_fixpoint_damped () =
-  (* g(x) = 2.5 - x oscillates undamped; damping 0.5 converges to 1.25. *)
-  let x, outcome = Fixpoint.scalar ~damping:0.5 (fun x -> 2.5 -. x) ~x0:0.0 in
-  (match outcome with
-  | Fixpoint.Converged _ -> ()
-  | Fixpoint.Diverged _ -> Alcotest.fail "diverged");
-  check_close 1e-10 "midpoint" 1.25 x
-
-let test_fixpoint_vector () =
-  let g ~src ~dst =
-    dst.(0) <- 0.5 *. (src.(0) +. (2.0 /. src.(0)));
-    dst.(1) <- cos src.(1)
-  in
-  let x, outcome = Fixpoint.vector g ~x0:[| 1.0; 1.0 |] in
-  (match outcome with
-  | Fixpoint.Converged _ -> ()
-  | Fixpoint.Diverged _ -> Alcotest.fail "diverged");
-  check_close 1e-10 "sqrt2" (sqrt 2.0) x.(0);
-  check_close 1e-10 "dottie" 0.7390851332151607 x.(1)
-
 (* ---------- Accel ---------- *)
 
 let test_aitken_geometric () =
@@ -550,22 +521,6 @@ let qcheck_pchip_within_data_range =
       done;
       !ok)
 
-(* ---------- Series ---------- *)
-
-let test_geometric_tail () =
-  check_float "tail" 2.0 (Series.geometric_tail ~first:1.0 ~ratio:0.5);
-  Alcotest.check_raises "bad ratio"
-    (Invalid_argument "Series.geometric_tail: ratio must lie in [0, 1)")
-    (fun () -> ignore (Series.geometric_tail ~first:1.0 ~ratio:1.0))
-
-let test_sum_until () =
-  let s = Series.sum_until (fun i -> 0.5 ** float_of_int i) 0 in
-  check_close 1e-12 "geometric" 2.0 s
-
-let test_kahan_sum () =
-  check_close 1e-18 "kahan list" 1.0000000000000002
-    (Series.kahan_sum [ 1.0; 1e-16; 1e-16 ])
-
 (* ---------- properties ---------- *)
 
 let qcheck_quadratic =
@@ -656,12 +611,6 @@ let () =
             test_quadratic_stable;
           QCheck_alcotest.to_alcotest qcheck_quadratic;
         ] );
-      ( "fixpoint",
-        [
-          Alcotest.test_case "scalar" `Quick test_fixpoint_scalar;
-          Alcotest.test_case "damped" `Quick test_fixpoint_damped;
-          Alcotest.test_case "vector" `Quick test_fixpoint_vector;
-        ] );
       ( "accel",
         [
           Alcotest.test_case "aitken geometric" `Quick
@@ -701,11 +650,5 @@ let () =
           Alcotest.test_case "simpson" `Quick test_simpson;
           Alcotest.test_case "adaptive simpson" `Quick
             test_adaptive_simpson;
-        ] );
-      ( "series",
-        [
-          Alcotest.test_case "geometric tail" `Quick test_geometric_tail;
-          Alcotest.test_case "sum until" `Quick test_sum_until;
-          Alcotest.test_case "kahan" `Quick test_kahan_sum;
         ] );
     ]

@@ -93,8 +93,8 @@ let cluster_run ?(horizon = 2_000.0) ?(warmup = 200.0) ~seed cfg =
 (* ---------- shards = 1 reproduces the Cluster goldens ---------- *)
 
 (* The expected strings are the literal goldens from test_sim.ml: at
-   shards = 1 the sharded simulator must be draw-for-draw the Cluster
-   hot path, so it inherits the pre-rewrite goldens unchanged. *)
+   shards = 1 the sharded entry runs Cluster's core on the caller's
+   stream, so it reproduces them unchanged. *)
 
 let test_golden_simple_one_shard () =
   let cfg =
@@ -154,48 +154,127 @@ let test_golden_n1024_one_shard scheduler () =
     (golden_line "n1024"
        (sharded_run ~seed:1024 ~horizon:60.0 ~warmup:10.0 cfg))
 
-(* ---------- shards = 1 ≡ Cluster on random supported configs ---------- *)
+(* ---------- shards = 1 ≡ Cluster on random configs ---------- *)
 
+let gen_shardable_policy =
+  QCheck.Gen.(
+    oneof
+      [
+        return Wsim.Policy.No_stealing;
+        (let* threshold = int_range 2 6 in
+         let* steal_count = int_range 1 (threshold - 1) in
+         return (Wsim.Policy.On_empty { threshold; choices = 1; steal_count }));
+        (let* threshold = int_range 2 6 in
+         return (Wsim.Policy.Steal_half { threshold; choices = 1 }));
+      ])
+
+(* configurations several shards accept *)
 let gen_supported_config =
   QCheck.Gen.(
     let* n = int_range 2 48 in
     let* lambda = float_range 0.2 0.95 in
     let* scheduler = oneofl [ Wsim.Cluster.Heap; Wsim.Cluster.Calendar ] in
-    let* policy =
-      oneof
-        [
-          return Wsim.Policy.No_stealing;
-          (let* threshold = int_range 2 6 in
-           let* steal_count = int_range 1 (threshold - 1) in
-           return
-             (Wsim.Policy.On_empty { threshold; choices = 1; steal_count }));
-          (let* threshold = int_range 2 6 in
-           return (Wsim.Policy.Steal_half { threshold; choices = 1 }));
-        ]
-    in
+    let* policy = gen_shardable_policy in
     let* seed = int_range 1 10_000 in
     return
       ( { Wsim.Cluster.default with n; arrival_rate = lambda; policy; scheduler },
         seed ))
 
+(* every policy and option a single shard runs *)
+let gen_any_config =
+  QCheck.Gen.(
+    let* n = int_range 2 24 in
+    let* lambda = float_range 0.2 0.9 in
+    let* scheduler = oneofl [ Wsim.Cluster.Heap; Wsim.Cluster.Calendar ] in
+    let* service =
+      oneofl
+        [ Prob.Dist.Exponential; Prob.Dist.Deterministic; Prob.Dist.Erlang_stages 3 ]
+    in
+    let* policy =
+      oneof
+        [
+          gen_shardable_policy;
+          (let* threshold = int_range 2 6 in
+           let* choices = int_range 2 3 in
+           let* steal_count = int_range 1 (threshold - 1) in
+           return (Wsim.Policy.On_empty { threshold; choices; steal_count }));
+          (let* threshold = int_range 2 6 in
+           let* choices = int_range 2 3 in
+           return (Wsim.Policy.Steal_half { threshold; choices }));
+          (let* begin_at = int_range 0 2 in
+           let* extra = int_range 2 4 in
+           return
+             (Wsim.Policy.Preemptive { begin_at; offset = begin_at + extra }));
+          (let* retry_rate = float_range 0.0 2.0 in
+           let* threshold = int_range 2 4 in
+           return (Wsim.Policy.Repeated { retry_rate; threshold }));
+          (let* transfer_rate = float_range 0.3 2.0 in
+           let* threshold = int_range 2 4 in
+           let* stages = int_range 1 3 in
+           return (Wsim.Policy.Transfer { transfer_rate; threshold; stages }));
+          (let* rate =
+             oneofl
+               [
+                 (fun l -> if l = 0 then 1.0 else 0.2);
+                 (fun _ -> 0.5);
+                 (fun l -> 0.1 *. float_of_int l);
+               ]
+           in
+           return (Wsim.Policy.Rebalance { rate }));
+          (let* threshold = int_range 2 4 in
+           let* radius = int_range 1 4 in
+           return (Wsim.Policy.Ring_steal { threshold; radius }));
+        ]
+    in
+    let* spawn_rate = oneof [ return 0.0; float_range 0.05 0.3 ] in
+    let* speeds =
+      oneof
+        [
+          return None;
+          map Option.some (array_size (return n) (float_range 0.5 1.5));
+        ]
+    in
+    let* placement = int_range 1 3 in
+    let* batch_mean = oneof [ return 1.0; float_range 1.0 2.5 ] in
+    let* initial_load = int_range 0 4 in
+    let* seed = int_range 1 10_000 in
+    return
+      ( {
+          Wsim.Cluster.n;
+          arrival_rate = lambda /. batch_mean;
+          spawn_rate;
+          service;
+          speeds;
+          policy;
+          initial_load;
+          placement;
+          batch_mean;
+          scheduler;
+        },
+        seed ))
+
 let pp_config (cfg, seed) =
-  Printf.sprintf "n=%d lambda=%g policy=%s scheduler=%s seed=%d"
-    cfg.Wsim.Cluster.n cfg.Wsim.Cluster.arrival_rate
-    (match cfg.Wsim.Cluster.policy with
-    | Wsim.Policy.No_stealing -> "none"
-    | Wsim.Policy.On_empty { threshold; steal_count; _ } ->
-        Printf.sprintf "on_empty(%d,%d)" threshold steal_count
-    | Wsim.Policy.Steal_half { threshold; _ } ->
-        Printf.sprintf "steal_half(%d)" threshold
-    | _ -> "?")
+  Format.asprintf
+    "n=%d lambda=%g spawn=%g service=%a speeds=%s policy=%a placement=%d \
+     batch=%g initial=%d scheduler=%s seed=%d"
+    cfg.Wsim.Cluster.n cfg.Wsim.Cluster.arrival_rate cfg.Wsim.Cluster.spawn_rate
+    Prob.Dist.pp_service cfg.Wsim.Cluster.service
+    (match cfg.Wsim.Cluster.speeds with
+    | None -> "none"
+    | Some sp ->
+        String.concat "," (Array.to_list (Array.map string_of_float sp)))
+    Wsim.Policy.pp cfg.Wsim.Cluster.policy cfg.Wsim.Cluster.placement
+    cfg.Wsim.Cluster.batch_mean cfg.Wsim.Cluster.initial_load
     (match cfg.Wsim.Cluster.scheduler with
     | Wsim.Cluster.Heap -> "heap"
     | Wsim.Cluster.Calendar -> "calendar")
     seed
 
+(* The two entry points must agree: a single shard draws from the
+   caller's generator exactly as Cluster does. *)
 let qcheck_one_shard_matches_cluster =
   QCheck.Test.make ~count:25 ~name:"shards=1 is Cluster draw-for-draw"
-    (QCheck.make ~print:pp_config gen_supported_config)
+    (QCheck.make ~print:pp_config gen_any_config)
     (fun (cfg, seed) ->
       String.equal
         (golden_line "q" (cluster_run ~horizon:300.0 ~warmup:30.0 ~seed cfg))
@@ -268,6 +347,23 @@ let qcheck_fixed_shard_count_deterministic =
               && String.equal first (line (Some serial)))
             [ 1; 2; 4 ]))
 
+let test_single_engine_entries_reject_shards () =
+  let sim =
+    Wsim.Cluster.create_sharded ~rng:(Prob.Rng.create ~seed:1) ~shards:2
+      ~latency:0.5
+      { n4096_config with Wsim.Cluster.n = 8; arrival_rate = 0.0 }
+  in
+  let rejects who f =
+    Alcotest.check_raises who
+      (Invalid_argument (who ^ ": needs a single-shard instance")) (fun () ->
+        ignore (f ()))
+  in
+  rejects "Cluster.advance" (fun () -> Wsim.Cluster.advance sim ~until:1.0);
+  rejects "Cluster.run_static" (fun () -> Wsim.Cluster.run_static sim);
+  rejects "Cluster.run_observed" (fun () ->
+      Wsim.Cluster.run_observed sim ~horizon:2.0 ~warmup:0.0 ~sample_every:1.0
+        ~observe:(fun _ _ -> ()))
+
 let () =
   Alcotest.run "shard"
     [
@@ -296,5 +392,7 @@ let () =
           Alcotest.test_case "pool-size invariance" `Quick
             test_n4096_pool_size_invariance;
           QCheck_alcotest.to_alcotest qcheck_fixed_shard_count_deterministic;
+          Alcotest.test_case "single-engine entries reject shards" `Quick
+            test_single_engine_entries_reject_shards;
         ] );
     ]

@@ -1,85 +1,72 @@
-(* Tests for the finite-n work-stealing simulator: the task deque, policy
+(* Tests for the finite-n work-stealing simulator: the task queues, policy
    validation, queueing-theory ground truths (M/M/1, M/D/1), Little's law,
    determinism, and agreement with the mean-field fixed points. *)
 
 let check_close eps = Alcotest.(check (float eps))
 
-(* ---------- Fdeque ---------- *)
+(* ---------- Task_queues ---------- *)
 
-let test_fdeque_fifo () =
-  let d = Wsim.Fdeque.create ~capacity:2 () in
+let test_queues_fifo () =
+  (* capacity 2, so the queue grows twice on the way to 10 *)
+  let q = Wsim.Task_queues.create ~procs:1 ~capacity:2 in
   for i = 1 to 10 do
-    Wsim.Fdeque.push_back d (float_of_int i)
+    Wsim.Task_queues.push_back q 0 (float_of_int i)
   done;
-  Alcotest.(check int) "length" 10 (Wsim.Fdeque.length d);
+  Alcotest.(check int) "length" 10 (Wsim.Task_queues.length q 0);
   for i = 1 to 10 do
-    check_close 1e-12 "fifo" (float_of_int i) (Wsim.Fdeque.pop_front d)
+    check_close 1e-12 "fifo" (float_of_int i) (Wsim.Task_queues.pop_front q 0)
   done;
-  Alcotest.(check bool) "empty" true (Wsim.Fdeque.is_empty d)
+  Alcotest.(check int) "empty" 0 (Wsim.Task_queues.length q 0)
 
-let test_fdeque_steal_from_back () =
-  let d = Wsim.Fdeque.create () in
-  List.iter (Wsim.Fdeque.push_back d) [ 1.0; 2.0; 3.0 ];
-  check_close 1e-12 "back" 3.0 (Wsim.Fdeque.pop_back d);
-  check_close 1e-12 "front" 1.0 (Wsim.Fdeque.pop_front d);
-  check_close 1e-12 "last" 2.0 (Wsim.Fdeque.pop_back d)
+let test_queues_steal_from_back () =
+  let q = Wsim.Task_queues.create ~procs:2 ~capacity:4 in
+  List.iter (Wsim.Task_queues.push_back q 1) [ 1.0; 2.0; 3.0 ];
+  check_close 1e-12 "back" 3.0 (Wsim.Task_queues.pop_back q 1);
+  check_close 1e-12 "front" 1.0 (Wsim.Task_queues.pop_front q 1);
+  check_close 1e-12 "last" 2.0 (Wsim.Task_queues.pop_back q 1);
+  Alcotest.(check int) "neighbour untouched" 0 (Wsim.Task_queues.length q 0)
 
-let test_fdeque_empty_raises () =
-  let d = Wsim.Fdeque.create () in
-  Alcotest.check_raises "front" Not_found (fun () ->
-      ignore (Wsim.Fdeque.pop_front d));
-  Alcotest.check_raises "back" Not_found (fun () ->
-      ignore (Wsim.Fdeque.pop_back d))
-
-let test_fdeque_wraparound () =
-  let d = Wsim.Fdeque.create ~capacity:4 () in
+let test_queues_wraparound () =
+  let q = Wsim.Task_queues.create ~procs:1 ~capacity:4 in
   (* push/pop around the ring boundary several times *)
   for round = 0 to 20 do
-    Wsim.Fdeque.push_back d (float_of_int round);
-    Wsim.Fdeque.push_back d (float_of_int (round + 100));
+    Wsim.Task_queues.push_back q 0 (float_of_int round);
+    Wsim.Task_queues.push_back q 0 (float_of_int (round + 100));
     check_close 1e-12 "first out" (float_of_int round)
-      (Wsim.Fdeque.pop_front d);
+      (Wsim.Task_queues.pop_front q 0);
     check_close 1e-12 "second out" (float_of_int (round + 100))
-      (Wsim.Fdeque.pop_front d)
+      (Wsim.Task_queues.pop_front q 0)
   done
 
-let qcheck_fdeque_model =
-  (* compare against a two-list functional deque *)
-  QCheck.Test.make ~count:300 ~name:"fdeque matches reference model"
-    QCheck.(list (int_range 0 3))
+let qcheck_queues_model =
+  (* three queues sharing one arena against two-list functional deques:
+     interleaved growth moves segments while the others hold stamps.
+     Pops are unchecked, so a pop on an empty queue checks the length
+     instead. *)
+  QCheck.Test.make ~count:300 ~name:"queues match reference model"
+    QCheck.(list (pair (int_range 0 3) (int_range 0 2)))
     (fun ops ->
-      let d = Wsim.Fdeque.create ~capacity:1 () in
-      let reference = ref [] in
+      let q = Wsim.Task_queues.create ~procs:3 ~capacity:1 in
+      let reference = Array.make 3 [] in
       let counter = ref 0.0 in
       List.for_all
-        (fun op ->
-          match op with
-          | 0 ->
+        (fun (op, i) ->
+          match (op, reference.(i)) with
+          | 0, r ->
               counter := !counter +. 1.0;
-              Wsim.Fdeque.push_back d !counter;
-              reference := !reference @ [ !counter ];
+              Wsim.Task_queues.push_back q i !counter;
+              reference.(i) <- r @ [ !counter ];
               true
-          | 1 -> (
-              match !reference with
-              | [] -> (
-                  try
-                    ignore (Wsim.Fdeque.pop_front d);
-                    false
-                  with Not_found -> true)
-              | x :: rest ->
-                  reference := rest;
-                  Float.equal (Wsim.Fdeque.pop_front d) x)
-          | 2 -> (
-              match List.rev !reference with
-              | [] -> (
-                  try
-                    ignore (Wsim.Fdeque.pop_back d);
-                    false
-                  with Not_found -> true)
+          | 1, x :: rest ->
+              reference.(i) <- rest;
+              Float.equal (Wsim.Task_queues.pop_front q i) x
+          | 2, (_ :: _ as r) -> (
+              match List.rev r with
               | x :: rest_rev ->
-                  reference := List.rev rest_rev;
-                  Float.equal (Wsim.Fdeque.pop_back d) x)
-          | _ -> Wsim.Fdeque.length d = List.length !reference)
+                  reference.(i) <- List.rev rest_rev;
+                  Float.equal (Wsim.Task_queues.pop_back q i) x
+              | [] -> false)
+          | _, r -> Wsim.Task_queues.length q i = List.length r)
         ops)
 
 (* ---------- Policy ---------- *)
@@ -685,6 +672,8 @@ let golden_case (name, seed, cfg, expected) =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) name expected (golden_line name (golden_run ~seed cfg)))
 
+let hetero_speeds = [| 0.5; 0.75; 1.0; 1.25; 1.5; 0.8; 1.2; 1.0 |]
+
 let golden_cases =
   let d = Wsim.Cluster.default in
   [
@@ -844,6 +833,102 @@ let golden_cases =
        load=0x1.2bddc7d46d9e7p+3 att=0 succ=0 stolen=0 reb=0 makespan=nan \
        tail1=0x1.0a82f7d475131p-1 tail2=0x1.6d0089ae3a729p-2 \
        tail3=0x1.3466c8c740f83p-2" );
+    (* The cases below were captured from the record-per-processor core
+       before the simulator moved onto flat lanes, to pin the option
+       combinations the cases above leave open. *)
+    ( "transfer-exp",
+      47,
+      {
+        d with
+        n = 16;
+        arrival_rate = 0.85;
+        policy =
+          Wsim.Policy.Transfer { transfer_rate = 0.5; threshold = 3; stages = 1 };
+      },
+      "transfer-exp: completed=24472 mean=0x1.1120de818bb2ap+2 \
+       ci=0x1.85b9b7db3557dp-5 p50=0x1.a38fd26a4e6efp+1 \
+       p95=0x1.8a32468216defp+3 p99=0x1.29cdbf64f2b0ap+4 \
+       load=0x1.cf6b451983f54p+1 att=4418 succ=2138 stolen=2138 reb=0 \
+       makespan=nan tail1=0x1.ad504306ffc5p-1 \
+       tail2=0x1.567cc11931a2dp-1 tail3=0x1.049065ace2ccep-1" );
+    ( "multichoice-hetero",
+      53,
+      {
+        d with
+        n = 8;
+        arrival_rate = 0.7;
+        speeds = Some hetero_speeds;
+        policy =
+          Wsim.Policy.On_empty { threshold = 2; choices = 2; steal_count = 1 };
+      },
+      "multichoice-hetero: completed=9954 mean=0x1.f269d713068fdp+0 \
+       ci=0x1.3eea75598f427p-5 p50=0x1.619862a11ffd8p+0 \
+       p95=0x1.796a4061aee1fp+2 p99=0x1.34b3186c004cap+3 \
+       load=0x1.588b70700904ap+0 att=6409 succ=3360 stolen=3360 reb=0 \
+       makespan=nan tail1=0x1.7594a28811e7dp-1 \
+       tail2=0x1.52b3d94c8f1bbp-2 tail3=0x1.337e517a0636p-3" );
+    ( "steal-half-hetero",
+      59,
+      {
+        d with
+        n = 8;
+        arrival_rate = 0.7;
+        speeds = Some hetero_speeds;
+        policy = Wsim.Policy.Steal_half { threshold = 2; choices = 2 };
+      },
+      "steal-half-hetero: completed=9900 mean=0x1.ca399f28a4899p+0 \
+       ci=0x1.06a3b4d121221p-5 p50=0x1.58d386f7149e9p+0 \
+       p95=0x1.3bc5053849a0bp+2 p99=0x1.e23e3478afea8p+2 \
+       load=0x1.3abb17da1305ep+0 att=6219 succ=3010 stolen=3555 reb=0 \
+       makespan=nan tail1=0x1.6b7f3f321a3bdp-1 \
+       tail2=0x1.4761921b433cfp-2 tail3=0x1.fd057f37f3ab6p-4" );
+    ( "repeated-spawn",
+      61,
+      {
+        d with
+        n = 8;
+        arrival_rate = 0.5;
+        spawn_rate = 0.3;
+        policy = Wsim.Policy.Repeated { retry_rate = 1.0; threshold = 3 };
+      },
+      "repeated-spawn: completed=10250 mean=0x1.2b76f0a27b09bp+1 \
+       ci=0x1.380bc31bc7321p-5 p50=0x1.d5495b51783b1p+0 \
+       p95=0x1.977333d63832ap+2 p99=0x1.1fb64d66a3435p+3 \
+       load=0x1.aa5884ab25e4ep+0 att=8767 succ=1823 stolen=1823 reb=0 \
+       makespan=nan tail1=0x1.69d54915da25ep-1 \
+       tail2=0x1.c77b51ad0713ap-2 tail3=0x1.ecd4734c0fcfdp-3" );
+    ( "batch-placement-simple",
+      67,
+      {
+        d with
+        n = 16;
+        arrival_rate = 0.4;
+        batch_mean = 2.0;
+        placement = 2;
+        policy = Wsim.Policy.simple;
+      },
+      "batch-placement-simple: completed=23311 \
+       mean=0x1.7097eb67875f4p+1 ci=0x1.efb331a526cf6p-6 \
+       p50=0x1.25d9184a10abp+1 p95=0x1.e7b0f499d2583p+2 \
+       p99=0x1.58d5d541b3031p+3 load=0x1.2ac9690fc6f68p+1 att=8556 \
+       succ=4443 stolen=4443 reb=0 makespan=nan \
+       tail1=0x1.a0510a55cb194p-1 tail2=0x1.14bfa6c98e367p-1 \
+       tail3=0x1.7dbe0b0135ab3p-2" );
+    ( "initial-load",
+      71,
+      {
+        d with
+        n = 16;
+        arrival_rate = 0.8;
+        initial_load = 3;
+        policy = Wsim.Policy.simple;
+      },
+      "initial-load: completed=22921 mean=0x1.3df4002eb2409p+1 \
+       ci=0x1.dfe999ab1f7e4p-6 p50=0x1.d6031fca34f57p+0 \
+       p95=0x1.c5b0d79931b2bp+2 p99=0x1.586e0c8b66977p+3 \
+       load=0x1.f96a2f15b62dp+0 att=10197 succ=4799 stolen=4799 reb=0 \
+       makespan=nan tail1=0x1.93e8e1e866e9ep-1 \
+       tail2=0x1.e63c59fb3328cp-2 tail3=0x1.258f0c02f044dp-2" );
   ]
 
 let test_golden_static () =
@@ -887,6 +972,129 @@ let test_golden_observed () =
     "observed: checksum=0x1.578p+5 completed=6501 mean=0x1.92e00730b0072p+1"
     (Printf.sprintf "observed: checksum=%h completed=%d mean=%h" !acc
        r.Wsim.Cluster.completed r.Wsim.Cluster.mean_sojourn)
+
+(* Pinned, like the tail of [golden_cases], from the record-per-processor
+   core: observed runs under the two policies with timers and transit
+   accounting, static drains under the two victim rules no other golden
+   drains with, and a run on an engine that already ran another
+   configuration. *)
+
+let observed_line name ~seed cfg =
+  let sim = Wsim.Cluster.create ~rng:(Prob.Rng.create ~seed) cfg in
+  let acc = ref 0.0 in
+  let r =
+    Wsim.Cluster.run_observed sim ~horizon:500.0 ~warmup:50.0
+      ~sample_every:25.0 ~observe:(fun time tail ->
+        acc := !acc +. (time *. 1e-3) +. tail 1 +. (2.0 *. tail 3))
+  in
+  Printf.sprintf "checksum=%h %s" !acc (golden_line name r)
+
+let static_line name ~seed policy =
+  let sim =
+    Wsim.Cluster.create ~rng:(Prob.Rng.create ~seed)
+      {
+        Wsim.Cluster.default with
+        n = 16;
+        arrival_rate = 0.0;
+        initial_load = 4;
+        policy;
+      }
+  in
+  golden_line name (Wsim.Cluster.run_static sim)
+
+let pinned_case name expected line =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) name expected (line ()))
+
+let pinned_cases =
+  [
+    pinned_case "observed-transfer"
+      "checksum=0x1.588p+5 observed-transfer: completed=6156 \
+       mean=0x1.0dd3083e274e6p+2 ci=0x1.76e15c46c0072p-4 \
+       p50=0x1.a2ef28e20d93ap+1 p95=0x1.88548dfb5988cp+3 \
+       p99=0x1.1826e46f847bbp+4 load=0x1.cbce7c648f63ap+1 att=1067 \
+       succ=574 stolen=574 reb=0 makespan=nan \
+       tail1=0x1.b12ff50cb8eecp-1 tail2=0x1.5b1aafd3a4dc1p-1 \
+       tail3=0x1.09bd89ba77f8bp-1" (fun () ->
+        observed_line "observed-transfer" ~seed:73
+          {
+            Wsim.Cluster.default with
+            n = 16;
+            arrival_rate = 0.85;
+            policy =
+              Wsim.Policy.Transfer
+                { transfer_rate = 0.5; threshold = 3; stages = 2 };
+          });
+    pinned_case "observed-rebalance"
+      "checksum=0x1.16p+5 observed-rebalance: completed=2841 \
+       mean=0x1.36e733498955p+1 ci=0x1.2cfb69488c949p-4 \
+       p50=0x1.02117d0f3ce79p+1 p95=0x1.947108cf447eap+2 \
+       p99=0x1.333c8c7ead07cp+3 load=0x1.e99bb8f95994ap+0 att=0 succ=0 \
+       stolen=0 reb=579 makespan=nan tail1=0x1.91fcaffa1bc41p-1 \
+       tail2=0x1.027a6cb9f1811p-1 tail3=0x1.2d7b5070835b8p-2" (fun () ->
+        observed_line "observed-rebalance" ~seed:79
+          {
+            Wsim.Cluster.default with
+            n = 8;
+            arrival_rate = 0.8;
+            policy =
+              Wsim.Policy.Rebalance
+                { rate = (fun l -> if l = 0 then 1.0 else 0.2) };
+          });
+    pinned_case "static-preemptive"
+      "static-preemptive: completed=64 mean=0x1.716160a6db31fp+1 \
+       ci=0x1.f3041a1d2845bp-2 p50=0x1.3d378e8380ea2p+1 \
+       p95=0x1.9d921941e2e49p+2 p99=0x1.bd81291e2cd6cp+2 \
+       load=0x1.5ab91564933cap+0 att=34 succ=2 stolen=2 reb=0 \
+       makespan=0x1.10ba992ab3cfp+3 tail1=0x1.0eefec96caa7bp-1 \
+       tail2=0x1.802b2e0267717p-2 tail3=0x1.37e9f2b66b1c9p-2" (fun () ->
+        static_line "static-preemptive" ~seed:83
+          (Wsim.Policy.Preemptive { begin_at = 1; offset = 3 }));
+    pinned_case "static-ring"
+      "static-ring: completed=64 mean=0x1.11fd96f010132p+1 \
+       ci=0x1.aae2e264ffe4bp-2 p50=0x1.d6057b7916979p+0 \
+       p95=0x1.1d9497522b315p+2 p99=0x1.291f9e47d700cp+2 \
+       load=0x1.c7e84385fb2eep-1 att=22 succ=6 stolen=6 reb=0 \
+       makespan=0x1.33b37c5fdf1ddp+3 tail1=0x1.a4b81f0f5a102p-2 \
+       tail2=0x1.0cf76bfd8841dp-2 tail3=0x1.3bd7f475ab463p-3" (fun () ->
+        static_line "static-ring" ~seed:89
+          (Wsim.Policy.Ring_steal { threshold = 2; radius = 2 }));
+    pinned_case "reused-engine"
+      "reused-engine: completed=25921 mean=0x1.72b1de0d49226p+1 \
+       ci=0x1.bf2e2008c7d84p-6 p50=0x1.2c965a475ffebp+1 \
+       p95=0x1.d9fac7741f24dp+2 p99=0x1.4bab08d16d915p+3 \
+       load=0x1.4da815b55d602p+1 att=8053 succ=4988 stolen=7862 reb=0 \
+       makespan=nan tail1=0x1.cbd5cc2df2952p-1 \
+       tail2=0x1.4a23bfd911883p-1 tail3=0x1.aa43c6b7ddaecp-2" (fun () ->
+        let engine =
+          Desim.Packed_engine.create ~scheduler:Desim.Packed_engine.Calendar ()
+        in
+        let run ~seed cfg =
+          let sim =
+            Wsim.Cluster.create ~engine ~rng:(Prob.Rng.create ~seed)
+              { cfg with Wsim.Cluster.scheduler = Wsim.Cluster.Calendar }
+          in
+          Wsim.Cluster.run sim ~horizon:2_000.0 ~warmup:200.0
+        in
+        ignore
+          (run ~seed:97
+             {
+               Wsim.Cluster.default with
+               n = 32;
+               arrival_rate = 0.95;
+               policy =
+                 Wsim.Policy.Transfer
+                   { transfer_rate = 1.0; threshold = 2; stages = 1 };
+             });
+        golden_line "reused-engine"
+          (run ~seed:101
+             {
+               Wsim.Cluster.default with
+               n = 16;
+               arrival_rate = 0.9;
+               policy = Wsim.Policy.Steal_half { threshold = 2; choices = 1 };
+             }));
+  ]
 
 (* The calendar queue promises the same dispatch order as the binary
    heap, not just the same multiset of events: at n = 1024 a single
@@ -981,14 +1189,13 @@ let test_allocation_budget () =
 let () =
   Alcotest.run "sim"
     [
-      ( "fdeque",
+      ( "task_queues",
         [
-          Alcotest.test_case "fifo" `Quick test_fdeque_fifo;
+          Alcotest.test_case "fifo" `Quick test_queues_fifo;
           Alcotest.test_case "steal from back" `Quick
-            test_fdeque_steal_from_back;
-          Alcotest.test_case "empty raises" `Quick test_fdeque_empty_raises;
-          Alcotest.test_case "wraparound" `Quick test_fdeque_wraparound;
-          QCheck_alcotest.to_alcotest qcheck_fdeque_model;
+            test_queues_steal_from_back;
+          Alcotest.test_case "wraparound" `Quick test_queues_wraparound;
+          QCheck_alcotest.to_alcotest qcheck_queues_model;
         ] );
       ( "policy",
         [ Alcotest.test_case "validation" `Quick test_policy_validation ] );
@@ -1089,7 +1296,8 @@ let () =
             Alcotest.test_case "n1024 heap" `Quick test_golden_n1024_heap;
             Alcotest.test_case "n1024 calendar" `Quick
               test_golden_n1024_calendar;
-          ] );
+          ]
+        @ pinned_cases );
       ( "allocation",
         [
           Alcotest.test_case "steady-state budget" `Quick

@@ -64,16 +64,13 @@ let file_whitelist =
   [
     ( rule_domain_safety,
       "lib/sim/cluster.ml",
-      "per-replica simulator state: each Cluster.t is built, mutated and \
-       read by exactly one pool task" );
+      "shard-owned state: each Cluster.t is built and read by one pool \
+       task, its Bigarray lanes are partitioned by shard index, every \
+       round task touches only its own shard's slice, and the pool \
+       barrier between rounds publishes cross-shard mailboxes" );
     ( rule_domain_safety,
-      "lib/sim/fdeque.ml",
-      "per-processor deque owned by a single Cluster.t replica" );
-    ( rule_domain_safety,
-      "lib/sim/shard.ml",
-      "shard-owned state: the Bigarray lanes are partitioned by shard \
-       index, every pool task touches only its own shard's slice, and \
-       the pool barrier between rounds publishes cross-shard mailboxes" );
+      "lib/sim/task_queues.ml",
+      "one instance per shard, mutated only by that shard's events" );
     ( rule_domain_safety,
       "lib/sim/mailbox.ml",
       "single-producer/single-consumer per round: each (src, dst) \
@@ -108,9 +105,8 @@ let zero_alloc_roots =
     "Calendar_queue.root_time";
     "Calendar_queue.root_payload";
     "Calendar_queue.root_aux";
-    (* Wsim.Cluster / Wsim.Shard: per-event step *)
+    (* Wsim.Cluster: per-event step, at any shard count *)
     "Cluster.handle";
-    "Shard.handle";
     (* Wsim.Mailbox: SPSC hot ops *)
     "Mailbox.push";
     "Mailbox.drain";
@@ -163,7 +159,7 @@ let poly_compare_functions = [ "Stdlib.min"; "Stdlib.max" ]
 (* Compiler builtins (external "%...") that do allocate. *)
 let allocating_builtins = [ "%makemutable" (* ref *) ]
 
-(* R6: the SPSC mailbox discipline of lib/sim/shard.ml. Producer ops on
+(* R6: the SPSC mailbox discipline of lib/sim/cluster.ml. Producer ops on
    a [Mailbox.t] must reach it through the sending shard's own
    [outboxes] row; consumer ops through [mailboxes.(src).(own sid)].
    Setup ops (create/clear) are ownership-neutral. *)

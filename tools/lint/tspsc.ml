@@ -1,5 +1,5 @@
 (* R6 spsc-ownership: machine-checks the mailbox discipline the §3.2
-   sharded simulator's correctness argument rests on (shard.ml). Each
+   sharded simulator's correctness argument rests on (cluster.ml). Each
    (src, dst) mailbox is single-producer/single-consumer per round with
    the pool barrier as the happens-before edge; that only holds if
 
