@@ -24,27 +24,21 @@
      main.exe scaling              events/sec vs n, heap vs calendar queue
      main.exe scaling --sizes 64,1024 --json F
                                    restrict the n-sweep / write JSON
-     main.exe serve                prediction-service kernel: replay the
-                                   recorded heavy query stream in-process
-     main.exe serve --json F       also write the serve/* metrics to F
-     main.exe compare [--baseline F] [--tolerance PCT] [--warn-only]
-                                   re-measure hotpath, diff vs committed
-                                   baseline; defaults to the newest
-                                   BENCH_*.json in the working directory
-     main.exe compare --tolerance serve/p99_us=40
-                                   per-key tolerance override (repeatable;
-                                   plain PCT still sets the global band)
+     main.exe sharding             events/sec at 1/2/4 shards, plus one
+                                   n = 1e7 run (skipped under --quick)
+
+   The repository's performance ledger is perfbench/ + BENCHMARK.json;
+   these kernels are tools, and the CI perf-smoke job hard-gates their
+   deterministic counters (derivative-evaluation ratios).
 *)
 
 let usage () =
   print_endline
     "usage: main.exe [kernels] [speedup] [hotpath] [meanfield] \
      [meanfield-batch] [scaling]\n\
-    \       [sharding] [serve] [compare]\n\
-    \       [experiment ...]\n\
+    \       [sharding] [experiment ...]\n\
     \       [--quick|--paper] [--seed N] [--domains N] [--json FILE]\n\
-    \       [--sizes N,N,...] [--baseline FILE] [--tolerance PCT|KEY=PCT] \
-     [--warn-only]";
+    \       [--sizes N,N,...]";
   print_endline "experiments:";
   List.iter
     (fun e ->
@@ -67,13 +61,7 @@ type options = {
   meanfield_batch : bool;
   scaling : bool;
   sharding : bool;
-  serve : bool;
   sizes : int list option;
-  compare : bool;
-  baseline : string option;
-  tolerance : float;
-  tolerance_overrides : (string * float) list;
-  warn_only : bool;
   help : bool;
   names : string list;  (* experiment names, in command-line order *)
 }
@@ -92,13 +80,7 @@ let default_options =
     meanfield_batch = false;
     scaling = false;
     sharding = false;
-    serve = false;
     sizes = None;
-    compare = false;
-    baseline = None;
-    tolerance = 25.0;
-    tolerance_overrides = [];
-    warn_only = false;
     help = false;
     names = [];
   }
@@ -147,45 +129,6 @@ let parse_options args =
             rest
         in
         go { opts with sizes = Some sizes } rest
-    | "--baseline" :: rest ->
-        let baseline, rest =
-          flag_value "--baseline" Option.some (fun f -> f <> "") rest
-        in
-        go { opts with baseline = Some baseline } rest
-    | "--tolerance" :: rest ->
-        (* plain PCT sets the global band; KEY=PCT overrides one
-           expectation and is repeatable — later flags are prepended, so
-           the leftmost-first assoc lookup makes the last repeat win *)
-        let value, rest =
-          flag_value "--tolerance" Option.some (fun v -> v <> "") rest
-        in
-        let parsed =
-          match String.index_opt value '=' with
-          | Some i ->
-              let key = String.sub value 0 i in
-              let pct =
-                String.sub value (i + 1) (String.length value - i - 1)
-              in
-              if key = "" then None
-              else
-                Option.map
-                  (fun t -> `Override (key, t))
-                  (float_of_string_opt pct)
-          | None -> Option.map (fun t -> `Global t) (float_of_string_opt value)
-        in
-        (match parsed with
-        | Some (`Global t) when t >= 0.0 -> go { opts with tolerance = t } rest
-        | Some (`Override (key, t)) when t >= 0.0 ->
-            go
-              {
-                opts with
-                tolerance_overrides = (key, t) :: opts.tolerance_overrides;
-              }
-              rest
-        | _ ->
-            Printf.eprintf "invalid value %S for --tolerance\n" value;
-            exit 2)
-    | "--warn-only" :: rest -> go { opts with warn_only = true } rest
     | ("--help" | "-h") :: rest | "help" :: rest ->
         go { opts with help = true } rest
     | a :: _ when is_flag a ->
@@ -198,8 +141,6 @@ let parse_options args =
     | "meanfield-batch" :: rest -> go { opts with meanfield_batch = true } rest
     | "scaling" :: rest -> go { opts with scaling = true } rest
     | "sharding" :: rest -> go { opts with sharding = true } rest
-    | "serve" :: rest -> go { opts with serve = true } rest
-    | "compare" :: rest -> go { opts with compare = true } rest
     | name :: rest -> go { opts with names = opts.names @ [ name ] } rest
   in
   go default_options args
@@ -294,25 +235,13 @@ let kernel_tests () =
       (Staged.stage (fun () ->
            Numerics.Ode.rk4_step sys ws ~t:0.0 ~dt:0.1 y))
   in
-  let heap =
-    let h = Desim.Event_heap.create () in
-    let rng = Prob.Rng.create ~seed:99 in
-    Test.make ~name:"substrate/event-heap-push-pop"
-      (Staged.stage (fun () ->
-           for _ = 1 to 64 do
-             Desim.Event_heap.push h ~time:(Prob.Rng.float rng) 0
-           done;
-           for _ = 1 to 64 do
-             ignore (Desim.Event_heap.pop h)
-           done))
-  in
   let rng_test =
     let rng = Prob.Rng.create ~seed:1 in
     Test.make ~name:"substrate/rng-exponential"
       (Staged.stage (fun () ->
            ignore (Prob.Dist.exponential rng ~rate:1.0)))
   in
-  [ table1; table2; table3; table4; pool_map; rk4; heap; rng_test ]
+  [ table1; table2; table3; table4; pool_map; rk4; rng_test ]
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -328,8 +257,8 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Flat object: kernel name -> ns/run, plus run metadata, so per-PR
-   BENCH_*.json trajectories diff cleanly. *)
+(* Flat object: kernel name -> ns/run, plus run metadata, so two
+   captures diff cleanly. *)
 let write_kernels_json ~file ~domains ~wall_seconds rows =
   let oc = open_out file in
   Printf.fprintf oc "{\n  \"domains\": %d,\n  \"wall_seconds\": %.3f"
@@ -407,7 +336,7 @@ let run_kernels ~json () =
    Numbers are only meaningful from a release-profile build: the dev
    profile disables cross-module inlining, which reintroduces float
    boxing on the hot path. *)
-let hotpath_measure () =
+let run_hotpath ~json () =
   let cfg =
     {
       Wsim.Cluster.default with
@@ -441,33 +370,29 @@ let hotpath_measure () =
   done;
   Printf.printf "  best: %.0f events/sec, %.3f minor-words/event\n" !best_eps
     !best_words;
-  (!best_eps, !best_words)
-
-let write_hotpath_json ~file ~eps ~words =
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"events_per_sec\": %.0f,\n\
-    \  \"minor_words_per_event\": %.3f\n\
-     }\n"
-    eps words;
-  close_out oc;
-  Printf.printf "wrote %s\n" file
-
-let run_hotpath ~json () =
-  let eps, words = hotpath_measure () in
-  Option.iter (fun file -> write_hotpath_json ~file ~eps ~words) json
+  Option.iter
+    (fun file ->
+      let oc = open_out file in
+      Printf.fprintf oc
+        "{\n\
+        \  \"events_per_sec\": %.0f,\n\
+        \  \"minor_words_per_event\": %.3f\n\
+         }\n"
+        !best_eps !best_words;
+      close_out oc;
+      Printf.printf "wrote %s\n" file)
+    json
 
 (* ---------- mean-field solver kernels ---------- *)
 
 (* Derivative evaluations and wall time to converge the Table 1 / Table 2
-   fixed-point sweeps over the paper's lambda grid. "seed" is the path
-   PRs <= 4 shipped: an independent fixed-step RK4 relaxation per lambda
+   fixed-point sweeps over the paper's lambda grid. "seed" is the
+   original solver path: an independent fixed-step RK4 relaxation per lambda
    at that lambda's default truncation. "new" is the current default:
    adaptive RK45 relaxation + Anderson mixing, warm-started along the
    sweep by lambda-continuation (dimension pinned across the chain). The
-   Table 2 evals ratio is this PR's headline acceptance metric and what
-   CI's perf-smoke prints in its job summary. *)
+   Table 2 evals ratio is deterministic, and CI's perf-smoke job fails
+   when it drops below its recorded 5.61. *)
 let meanfield_case ~name ~seed_build ~cont_build lambdas =
   let t0 = Unix.gettimeofday () in
   let seed_evals =
@@ -875,442 +800,6 @@ let run_sharding ~quick ~sizes ~json () =
       Printf.printf "wrote %s\n" file)
     json
 
-(* ---------- serve kernels ---------- *)
-
-(* Prediction-service replay: the recorded heavy query stream
-   (Serve.Workload, zipf-ish λ grid with heavy repeats plus off-grid
-   points) driven through an in-process Serve.Server, no socket — the
-   kernel isolates the cache/warm-start/interpolation layer from
-   transport cost. Phase 0 cold-solves every distinct canonical key
-   once, establishing the baseline the tiers are measured against;
-   phase 1 replays the full stream against a fresh server, timing each
-   query (P² quantiles, so no latency array survives the run) and
-   tallying per-tier counts from the answer's [source]. *)
-let serve_queries = 3000
-
-let serve_measure () =
-  let config = Serve.Server.default_config in
-  let queries =
-    List.map
-      (fun q ->
-        match
-          Serve.Families.resolve ~depth:config.Serve.Server.depth
-            ~name:q.Serve.Workload.model q.Serve.Workload.params
-        with
-        | Ok fam -> (fam, Serve.Key.canon_float q.Serve.Workload.lambda)
-        | Error e -> failwith ("serve kernel: " ^ e))
-      (Serve.Workload.stream ~seed:42 serve_queries)
-  in
-  (* phase 0: cold baseline over the distinct keys *)
-  let seen = Hashtbl.create 512 in
-  let distinct =
-    List.filter
-      (fun (fam, lambda) ->
-        let key =
-          fam.Serve.Families.family ^ "|" ^ Serve.Key.canon_string lambda
-        in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      queries
-  in
-  let n_cold = List.length distinct in
-  let cold_cost = Hashtbl.create 512 in
-  let t0 = Monotonic_clock.now () in
-  let cold_evals =
-    List.fold_left
-      (fun acc (fam, lambda) ->
-        let fp =
-          Meanfield.Drive.fixed_point ~tol:config.Serve.Server.tol
-            (fam.Serve.Families.build lambda)
-        in
-        Hashtbl.replace cold_cost
-          (fam.Serve.Families.family ^ "|" ^ Serve.Key.canon_string lambda)
-          fp.Meanfield.Drive.evals;
-        acc + fp.Meanfield.Drive.evals)
-      0 distinct
-  in
-  let cold_ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
-  (* phase 1: replay the full stream through a fresh server *)
-  let server = Serve.Server.create ~config () in
-  let p50 = Prob.P2_quantile.create ~p:0.5 in
-  let p99 = Prob.P2_quantile.create ~p:0.99 in
-  (* per-tier latency quantiles: each answer's [source] names the tier
-     that actually served it, so the four pairs decompose the overall
-     p50/p99 into cache-read, interpolation and solver populations *)
-  let tier_q _ =
-    (Prob.P2_quantile.create ~p:0.5, Prob.P2_quantile.create ~p:0.99)
-  in
-  let tiers =
-    [
-      (Serve.Server.Hit, "hit", tier_q ());
-      (Serve.Server.Interpolated, "interpolated", tier_q ());
-      (Serve.Server.Warm, "warm", tier_q ());
-      (Serve.Server.Cold, "cold", tier_q ());
-    ]
-  in
-  let tier_add src us =
-    List.iter
-      (fun (s, _, (q50, q99)) ->
-        if s = src then begin
-          Prob.P2_quantile.add q50 us;
-          Prob.P2_quantile.add q99 us
-        end)
-      tiers
-  in
-  let hits = ref 0 and hit_ns = ref 0.0 in
-  let warms = ref 0 and warm_evals = ref 0 in
-  let warm_cold_evals = ref 0 in
-  let interps = ref 0 and colds = ref 0 in
-  let t1 = Monotonic_clock.now () in
-  List.iter
-    (fun (fam, lambda) ->
-      let q0 = Monotonic_clock.now () in
-      let a = Serve.Server.answer server fam lambda in
-      let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) q0) in
-      Prob.P2_quantile.add p50 (dt /. 1e3);
-      Prob.P2_quantile.add p99 (dt /. 1e3);
-      tier_add a.Serve.Server.source (dt /. 1e3);
-      match a.Serve.Server.source with
-      | Serve.Server.Hit ->
-          incr hits;
-          hit_ns := !hit_ns +. dt
-      | Serve.Server.Warm ->
-          incr warms;
-          warm_evals := !warm_evals + a.Serve.Server.evals;
-          (* what the same key cost cold in phase 0 — the matched
-             baseline the warm-start ratio is measured against *)
-          warm_cold_evals :=
-            !warm_cold_evals
-            + Hashtbl.find cold_cost
-                (fam.Serve.Families.family ^ "|"
-               ^ Serve.Key.canon_string lambda)
-      | Serve.Server.Interpolated -> incr interps
-      | Serve.Server.Cold -> incr colds)
-    queries;
-  let wall_ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t1) in
-  let n = float_of_int serve_queries in
-  let qps = n /. (wall_ns /. 1e9) in
-  let hit_rate = float_of_int !hits /. n in
-  let warm_per = float_of_int !warm_evals /. float_of_int (max 1 !warms) in
-  let cold_per = float_of_int cold_evals /. float_of_int (max 1 n_cold) in
-  (* matched-keys ratio: cold evals the warm-missed keys cost in phase 0
-     over the warm evals actually spent on them — same keys on both
-     sides, so cache-warming order cannot skew the comparison *)
-  let evals_ratio =
-    float_of_int !warm_cold_evals /. float_of_int (max 1 !warm_evals)
-  in
-  let mean_cold_ns = cold_ns /. float_of_int (max 1 n_cold) in
-  let mean_hit_ns = !hit_ns /. float_of_int (max 1 !hits) in
-  let speedup = mean_cold_ns /. Float.max mean_hit_ns 1.0 in
-  (* phase 2: burst-mode stream through a fresh server via the batched
-     request path. A burst is one family asked at consecutive grid
-     rates — in a batch request its misses become one lockstep solve,
-     so the per-query latency under miss trains is the number the
-     coalescing machinery is accountable for. Chunked like [replay
-     --batch 8]; latencies are amortised per query (request time /
-     chunk size) so they compare against the phase-1 quantiles. *)
-  let burst_len = 8 in
-  let burst_queries =
-    List.map
-      (fun q ->
-        match
-          Serve.Families.resolve ~depth:config.Serve.Server.depth
-            ~name:q.Serve.Workload.model q.Serve.Workload.params
-        with
-        | Ok fam -> (fam, Serve.Key.canon_float q.Serve.Workload.lambda)
-        | Error e -> failwith ("serve kernel: " ^ e))
-      (Serve.Workload.stream ~seed:42 ~burst_share:0.3 ~burst_len
-         serve_queries)
-  in
-  (* scalar reference first: the same burst stream, one query at a
-     time, so the batched path's quantiles have a matched baseline *)
-  let scalar_server = Serve.Server.create ~config () in
-  let sp50 = Prob.P2_quantile.create ~p:0.5 in
-  let sp99 = Prob.P2_quantile.create ~p:0.99 in
-  List.iter
-    (fun (fam, lambda) ->
-      let q0 = Monotonic_clock.now () in
-      ignore (Serve.Server.answer scalar_server fam lambda);
-      let us = Int64.to_float (Int64.sub (Monotonic_clock.now ()) q0) /. 1e3 in
-      Prob.P2_quantile.add sp50 us;
-      Prob.P2_quantile.add sp99 us)
-    burst_queries;
-  let burst_server = Serve.Server.create ~config () in
-  let bp50 = Prob.P2_quantile.create ~p:0.5 in
-  let bp99 = Prob.P2_quantile.create ~p:0.99 in
-  let rec chunks = function
-    | [] -> []
-    | qs ->
-        let rec take k = function
-          | rest when k = 0 -> ([], rest)
-          | [] -> ([], [])
-          | q :: rest ->
-              let head, tail = take (k - 1) rest in
-              (q :: head, tail)
-        in
-        let head, rest = take burst_len qs in
-        head :: chunks rest
-  in
-  let tb = Monotonic_clock.now () in
-  List.iter
-    (fun chunk ->
-      let q0 = Monotonic_clock.now () in
-      let answers = Serve.Server.answer_batch burst_server chunk in
-      ignore answers;
-      let per_query =
-        Int64.to_float (Int64.sub (Monotonic_clock.now ()) q0)
-        /. 1e3
-        /. float_of_int (List.length chunk)
-      in
-      List.iter
-        (fun _ ->
-          Prob.P2_quantile.add bp50 per_query;
-          Prob.P2_quantile.add bp99 per_query)
-        chunk)
-    (chunks burst_queries);
-  let burst_wall_ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) tb) in
-  let burst_stats = Serve.Server.stats burst_server in
-  let burst_qps =
-    float_of_int (List.length burst_queries) /. (burst_wall_ns /. 1e9)
-  in
-  Printf.printf
-    "  cold baseline: %d distinct keys, %.1f evals/solve, %.1f ms/solve\n"
-    n_cold cold_per (mean_cold_ns /. 1e6);
-  Printf.printf
-    "  replay %d queries: %d hit, %d interpolated, %d warm, %d cold\n"
-    serve_queries !hits !interps !warms !colds;
-  Printf.printf
-    "  %9.0f queries/sec   p50 %8.1f us   p99 %8.1f us   hit rate %.3f\n" qps
-    (Prob.P2_quantile.quantile p50)
-    (Prob.P2_quantile.quantile p99)
-    hit_rate;
-  Printf.printf
-    "  warm misses: %.1f evals/miss (%.1fx fewer than the same keys cold)   \
-     hit vs cold: %.0fx faster\n"
-    warm_per evals_ratio speedup;
-  let tier_metrics =
-    List.concat_map
-      (fun (_, label, (q50, q99)) ->
-        let v50 = Prob.P2_quantile.quantile q50 in
-        let v99 = Prob.P2_quantile.quantile q99 in
-        Printf.printf "  tier %-13s p50 %10.1f us   p99 %10.1f us\n" label v50
-          v99;
-        [
-          (Printf.sprintf "serve/%s_p50_us" label, v50);
-          (Printf.sprintf "serve/%s_p99_us" label, v99);
-        ])
-      tiers
-  in
-  let burst_p99 = Prob.P2_quantile.quantile bp99 in
-  let burst_scalar_p99 = Prob.P2_quantile.quantile sp99 in
-  Printf.printf
-    "  burst stream (share 0.3, len %d), scalar path:    %8.1f us p50   \
-     %8.1f us p99\n"
-    burst_len
-    (Prob.P2_quantile.quantile sp50)
-    burst_scalar_p99;
-  Printf.printf
-    "  burst stream, batched path (per-query amortised): %8.1f us p50   \
-     %8.1f us p99   %9.0f queries/sec\n"
-    (Prob.P2_quantile.quantile bp50)
-    burst_p99 burst_qps;
-  Printf.printf
-    "  burst batching: %d lockstep solves covering %d columns, p99 %.2fx \
-     lower than scalar\n"
-    burst_stats.Serve.Server.batched_solves
-    burst_stats.Serve.Server.batched_columns
-    (burst_scalar_p99 /. Float.max burst_p99 1.0);
-  [
-    ("serve/queries_per_sec", qps);
-    ("serve/p50_us", Prob.P2_quantile.quantile p50);
-    ("serve/p99_us", Prob.P2_quantile.quantile p99);
-    ("serve/hit_rate", hit_rate);
-    ("serve/warm_evals_per_miss", warm_per);
-    ("serve/cold_evals_per_solve", cold_per);
-    ("serve/warm_vs_cold_evals_ratio", evals_ratio);
-    ("serve/hit_vs_cold_speedup", speedup);
-  ]
-  @ tier_metrics
-  @ [
-      ("serve/burst_queries_per_sec", burst_qps);
-      ("serve/burst_p50_us", Prob.P2_quantile.quantile bp50);
-      ("serve/burst_p99_us", burst_p99);
-      ("serve/burst_scalar_p99_us", burst_scalar_p99);
-      ( "serve/burst_p99_speedup",
-        burst_scalar_p99 /. Float.max burst_p99 1.0 );
-      ( "serve/burst_batched_solves",
-        float_of_int burst_stats.Serve.Server.batched_solves );
-      ( "serve/burst_batched_columns",
-        float_of_int burst_stats.Serve.Server.batched_columns );
-    ]
-
-let run_serve ~json () =
-  print_endline
-    "serve kernels (in-process replay of the recorded heavy query stream;\n\
-    \ phase 0 cold-solves every distinct key, phase 1 replays through a \
-     fresh server):";
-  let metrics = serve_measure () in
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      output_string oc "{";
-      List.iteri
-        (fun i (k, v) ->
-          Printf.fprintf oc "%s\n  \"%s\": %.6g"
-            (if i = 0 then "" else ",")
-            k v)
-        metrics;
-      output_string oc "\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json
-
-(* Newest committed baseline: BENCH_ names carry a zero-padded PR
-   number, so the lexicographically greatest file is the latest. *)
-let newest_committed_baseline () =
-  Sys.readdir "." |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f > 6
-         && String.sub f 0 6 = "BENCH_"
-         && Filename.check_suffix f ".json")
-  |> List.sort (fun a b -> String.compare b a)
-  |> function
-  | best :: _ -> Some best
-  | [] -> None
-
-(* Re-measure what the committed baseline expects and diff against it.
-   The baseline's "after/"-prefixed keys are its expectation set (a raw
-   [hotpath --json] capture, with no such keys, counts wholesale); each
-   expectation selects the kernel family that can reproduce it — the
-   hotpath pair, or a sharding throughput point — and an expectation no
-   family covers is reported as MISSING, a failure in its own right:
-   a kernel tracked by the baseline must not silently drop out of the
-   comparison. The pass/fail logic lives in [Benchkit]. *)
-(* "sharding/n<N>/s<S>_events_per_sec" — parsed by hand: Scanf's %d
-   treats '_' as a digit separator and would swallow the key's
-   "_events" suffix. *)
-let sharding_expectation key =
-  let tagged_int tag part =
-    if String.length part > String.length tag
-       && String.sub part 0 (String.length tag) = tag
-    then
-      int_of_string_opt
-        (String.sub part (String.length tag)
-           (String.length part - String.length tag))
-    else None
-  in
-  match String.split_on_char '/' key with
-  | [ "sharding"; npart; metric ] -> (
-      let suffix = "_events_per_sec" in
-      match
-        if Filename.check_suffix metric suffix then
-          tagged_int "s" (Filename.chop_suffix metric suffix)
-        else None
-      with
-      | None -> None
-      | Some s -> (
-          match tagged_int "n" npart with
-          | Some n -> Some (n, s)
-          | None -> None))
-  | _ -> None
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let run_compare ~baseline ~tolerance ~overrides ~warn_only ~json () =
-  let expectations = Benchkit.expectations (Benchkit.parse_flat_json baseline) in
-  if List.is_empty expectations then begin
-    Printf.eprintf "baseline %s holds no numeric expectations\n" baseline;
-    exit 2
-  end;
-  let wants key = List.mem_assoc key expectations in
-  let current = ref [] in
-  if wants "events_per_sec" || wants "minor_words_per_event" then begin
-    let eps, words = hotpath_measure () in
-    Option.iter (fun file -> write_hotpath_json ~file ~eps ~words) json;
-    current :=
-      [ ("events_per_sec", eps); ("minor_words_per_event", words) ]
-  end;
-  if List.exists (fun (key, _) -> contains_sub key "serve/") expectations
-  then begin
-    print_endline "  re-measuring serve kernel:";
-    current := serve_measure () @ !current
-  end;
-  if
-    List.exists
-      (fun (key, _) -> contains_sub key "meanfield_batch/")
-      expectations
-  then begin
-    print_endline "  re-measuring batched meanfield kernel:";
-    current := meanfield_batch_measure () @ !current
-  end;
-  List.iter
-    (fun (key, _) ->
-      match sharding_expectation key with
-      | None -> ()
-      | Some (n, shards) ->
-          let eps = sharding_measure ~n ~shards in
-          Printf.printf "  sharding n=%d shards=%d: %.0f ev/s\n%!" n shards eps;
-          current := (key, eps) :: !current)
-    expectations;
-  let checks =
-    Benchkit.evaluate ~tolerance
-      ~direction:(fun key ->
-        (* costs shrink, throughputs grow: latency quantiles (_us),
-           wall times (_seconds), allocation (minor…) and per-solve
-           derivative-evaluation counts (…evals_per…) regress upward;
-           everything else — including the serve ratio keys, whose
-           "evals_ratio" does not match "evals_per" — regresses
-           downward *)
-        if
-          (String.length key >= 5 && String.sub key 0 5 = "minor")
-          || Filename.check_suffix key "_seconds"
-          || Filename.check_suffix key "_us"
-          || contains_sub key "evals_per"
-        then Benchkit.Lower_is_better
-        else Benchkit.Higher_is_better)
-      ~override:(fun key -> List.assoc_opt key overrides)
-      ~slack:(fun key ->
-        (* one word of absolute slack: the allocation baseline may
-           legitimately be 0.0, where a percentage band has no width *)
-        if key = "minor_words_per_event" then 1.0 else 0.0)
-      ~baseline:expectations ~current:!current ()
-  in
-  Printf.printf "compare vs %s (tolerance %.0f%%%s):\n" baseline tolerance
-    (String.concat ""
-       (List.map
-          (fun (k, t) -> Printf.sprintf ", %s=%.0f%%" k t)
-          (List.rev overrides)));
-  List.iter
-    (fun (c : Benchkit.check) ->
-      match c.Benchkit.current with
-      | Some v ->
-          Printf.printf "  %-34s %14.3f  baseline %14.3f  %s %14.3f  %s\n"
-            c.Benchkit.key v c.Benchkit.baseline
-            (match c.Benchkit.direction with
-            | Benchkit.Higher_is_better -> "floor"
-            | Benchkit.Lower_is_better -> "ceil ")
-            c.Benchkit.bound
-            (Benchkit.status_label c.Benchkit.status)
-      | None ->
-          Printf.printf "  %-34s %14s  baseline %14.3f  %s\n" c.Benchkit.key
-            "(not measured)" c.Benchkit.baseline
-            (Benchkit.status_label c.Benchkit.status))
-    checks;
-  if not (Benchkit.all_passed checks) then
-    if warn_only then
-      print_endline
-        "  regression or missing kernel detected (warn-only mode, not failing)"
-    else begin
-      prerr_endline "bench compare: regression or missing kernel";
-      exit 1
-    end
-
 (* ---------- speedup check ---------- *)
 
 (* Serial vs parallel replication of the Table 4 simulation workload:
@@ -1401,8 +890,7 @@ let () =
       match opts.names with
       | []
         when opts.kernels || opts.speedup || opts.hotpath || opts.meanfield
-             || opts.meanfield_batch || opts.scaling || opts.sharding
-             || opts.serve || opts.compare ->
+             || opts.meanfield_batch || opts.scaling || opts.sharding ->
           []
       | [] -> Experiments.Registry.all
       | names ->
@@ -1436,26 +924,6 @@ let () =
     if opts.scaling then run_scaling ~sizes:opts.sizes ~json:opts.json ();
     if opts.sharding then
       run_sharding ~quick:opts.quick ~sizes:opts.sizes ~json:opts.json ();
-    if opts.serve then run_serve ~json:opts.json ();
-    if opts.compare then begin
-      let baseline =
-        match opts.baseline with
-        | Some b -> b
-        | None -> (
-            match newest_committed_baseline () with
-            | Some b ->
-                Printf.printf "compare: auto-selected baseline %s\n" b;
-                b
-            | None ->
-                prerr_endline
-                  "compare: no --baseline given and no committed \
-                   BENCH_*.json found";
-                exit 2)
-      in
-      run_compare ~baseline ~tolerance:opts.tolerance
-        ~overrides:opts.tolerance_overrides ~warn_only:opts.warn_only
-        ~json:opts.json ()
-    end;
     Format.fprintf ppf "total wall time: %.1f s@."
       (Unix.gettimeofday () -. t0)
   end

@@ -7,13 +7,6 @@ let solver_name = function
   | `Rk45 -> "rk45"
   | `Anderson -> "anderson"
 
-let solver_of_name name =
-  match String.lowercase_ascii name with
-  | "rk4" -> Some `Rk4
-  | "rk45" -> Some `Rk45
-  | "anderson" -> Some `Anderson
-  | _ -> None
-
 type fixed_point = {
   state : Vec.t;
   residual : float;

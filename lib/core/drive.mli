@@ -19,9 +19,6 @@ type solver = [ `Rk4 | `Rk45 | `Anderson ]
 val solver_name : solver -> string
 (** ["rk4"], ["rk45"] or ["anderson"] — stable CLI/JSON spelling. *)
 
-val solver_of_name : string -> solver option
-(** Inverse of {!solver_name}, case-insensitive. *)
-
 type fixed_point = {
   state : Numerics.Vec.t;  (** Approximate fixed point. *)
   residual : float;  (** [‖ds/dt‖∞] at [state]. *)

@@ -153,10 +153,6 @@ let advance_until ~upto t ~handler =
 let next_time t =
   if q_is_empty t.queue then infinity else q_root_time t.queue
 
-let run_until_empty t ~handler =
-  t.limit.v <- infinity;
-  drain t ~handler
-
 let clear t =
   t.clock.v <- 0.0;
   t.limit.v <- 0.0;

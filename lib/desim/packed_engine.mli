@@ -63,10 +63,6 @@ val run : until:float -> t -> handler:(int -> unit) -> unit
     [until] in all cases — also when the queue drained before reaching
     it — so consecutive [run] calls tile the timeline without gaps. *)
 
-val run_until_empty : t -> handler:(int -> unit) -> unit
-(** Dispatch until no events remain (the caller must guarantee the
-    event population dies out). *)
-
 val advance_until : upto:float -> t -> handler:(int -> unit) -> unit
 (** Like {!run} but with a {e strict} bound: dispatches events with time
     [< upto] only, then advances the clock to [upto]. Windowed

@@ -1,10 +1,11 @@
 (* Binary min-heap over four parallel lanes: time (float), insertion seq
-   (int), an immediate int payload and an auxiliary float. Same ordering
-   and sift logic as {!Event_heap}, but the payload is an unboxed
-   immediate instead of an ['a option], so pushing and popping move only
-   raw words — no per-event record, option or tuple. The hot path reads
-   the root through {!root_time}/{!root_payload}/{!root_aux} and removes
-   it with {!drop_root}; the allocating {!pop} exists for tests. *)
+   (int), an immediate int payload and an auxiliary float. It sifts on
+   (time, seq) like the generic ['a option] heap in test/event_heap.ml,
+   the order oracle of its QCheck suite, but the payload is an unboxed
+   immediate, so pushing and popping move only raw words — no per-event
+   record, option or tuple. The hot path reads the root through
+   {!root_time}/{!root_payload}/{!root_aux} and removes it with
+   {!drop_root}; the allocating {!pop} exists for tests. *)
 type t = {
   mutable times : float array;
   mutable seqs : int array;

@@ -1,10 +1,10 @@
 (** Binary min-heap of packed events.
 
-    The allocation-free counterpart of {!Event_heap}: each event is an
-    immediate [int] payload plus one auxiliary [float], stored in
-    parallel lanes. Ordering is identical — float time, ties broken FIFO
-    by insertion order — so a simulation moved from {!Event_heap} to this
-    heap dispatches the same events in the same order.
+    Each event is an immediate [int] payload plus one auxiliary
+    [float], stored in parallel lanes, so the heap allocates nothing per
+    event. Ordering is float time, ties broken FIFO by insertion order —
+    the order of a textbook binary heap over boxed events, which the
+    test suite keeps as this heap's QCheck oracle ([test/event_heap.ml]).
 
     The non-allocating access protocol is: check {!is_empty} (or
     {!length}), read the root with {!root_time}, {!root_payload} and

@@ -196,10 +196,3 @@ let models =
 let find name =
   let name = String.lowercase_ascii name in
   List.find_opt (fun e -> String.lowercase_ascii e.name = name) all
-
-let run_all scope ppf =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "=== %s — %s ===@.@." e.name e.paper_ref;
-      e.print scope ppf)
-    all

@@ -27,6 +27,3 @@ val models : (string * (unit -> Meanfield.Model.t)) list
     adding a model here is how a new variant opts into the shared
     runtime diagnostics. [Static_ws] is excluded: a finite drain has no
     steady state for the fixed-point check. *)
-
-val run_all : Scope.t -> Format.formatter -> unit
-(** Print every experiment in order. *)

@@ -87,8 +87,6 @@ let eval t x =
         +. (h11 *. h *. d.(i + 1))
   end
 
-let eval_many t queries = Vec.map (eval t) queries
-
 (* Vector-valued single-shot PCHIP: evaluate the Fritsch-Carlson
    interpolant of every component of a sampled vector function at one
    query point, without building [dim] interpolant records. The slopes a

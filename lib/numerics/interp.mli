@@ -20,9 +20,6 @@ val pchip : xs:Vec.t -> ys:Vec.t -> t
 val eval : t -> float -> float
 (** Evaluate; clamps outside the data range to the boundary values. *)
 
-val eval_many : t -> Vec.t -> Vec.t
-(** Map {!eval} over a vector of query points. *)
-
 val pchip_cols : xs:Vec.t -> cols:Vec.t array -> float -> Vec.t
 (** [pchip_cols ~xs ~cols x] evaluates, componentwise, the monotone
     Fritsch–Carlson interpolant of the vector-valued samples

@@ -36,12 +36,3 @@ let col_norm_inf m k =
     if a > !best then best := a
   done;
   !best
-
-let col_dot a ka b kb =
-  if rows a <> rows b then invalid_arg "Mat.col_dot: row mismatch";
-  let acc = ref 0.0 in
-  for i = 0 to rows a - 1 do
-    acc :=
-      !acc +. (Bigarray.Array2.get a i ka *. Bigarray.Array2.get b i kb)
-  done;
-  !acc

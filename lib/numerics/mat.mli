@@ -30,6 +30,3 @@ val blit_col : src:t -> scol:int -> dst:t -> dcol:int -> unit
 
 val col_norm_inf : t -> int -> float
 (** Max-norm of column [k]. *)
-
-val col_dot : t -> int -> t -> int -> float
-(** Dot product of two columns (same accumulation order as {!Vec.dot}). *)

@@ -137,25 +137,6 @@ let map_array pool f xs =
 
 let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
 
-(* Fire-and-forget: no batch bookkeeping, no completion handle. A raised
-   exception would otherwise unwind worker_loop and silently shrink the
-   pool, so tasks are wrapped defensively; handlers that care must catch
-   their own errors. On a 1-domain pool there are no workers to hand the
-   task to, so it runs inline — same semantics, serial schedule. *)
-let async pool task =
-  let run () = try task () with _ -> () in
-  if pool.size = 1 then run ()
-  else begin
-    Mutex.lock pool.mutex;
-    if pool.closed then begin
-      Mutex.unlock pool.mutex;
-      invalid_arg "Pool.async: pool is shut down"
-    end;
-    Queue.push run pool.queue;
-    Condition.signal pool.work_available;
-    Mutex.unlock pool.mutex
-  end
-
 (* Index-space map: the repeated-round shape of the sharded simulator
    submits the same [n] shard tasks every window, so building an input
    array per round would be pure allocation noise. Semantically

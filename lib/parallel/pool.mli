@@ -47,17 +47,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}; the result at index [i] is [f xs.(i)]. *)
 
-val async : t -> (unit -> unit) -> unit
-(** [async pool task] runs [task] on some pool domain, eventually,
-    without waiting for it — the connection-per-domain primitive of the
-    prediction daemon. No completion handle: callers that need to
-    observe completion must arrange their own signal (the daemon keeps
-    an active-connection count under a mutex). Any exception [task]
-    raises is swallowed (it would otherwise kill a worker and silently
-    shrink the pool); tasks must handle their own errors. On a pool of
-    one domain the task runs inline, in the caller.
-    @raise Invalid_argument if the pool is shut down. *)
-
 val map_int : t -> (int -> 'a) -> int -> 'a array
 (** [map_int pool f n] is [[| f 0; ...; f (n-1) |]] with the calls
     spread over the pool — the round primitive of the sharded

@@ -38,8 +38,6 @@ let rec poisson g ~mean =
     go 0 1.0
   end
 
-let uniform_range g ~lo ~hi = lo +. ((hi -. lo) *. Rng.float g)
-
 let geometric g ~mean =
   (* lint: allow zero-alloc: cold mean guard, raises before the hot path *)
   if mean < 1.0 then invalid_arg "Dist.geometric: mean must be at least 1";

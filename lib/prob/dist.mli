@@ -18,8 +18,6 @@ val poisson : Rng.t -> mean:float -> int
     gaussian-free PTRD-style envelope is avoided by splitting large means
     into halves (exact, if slower, for the moderate means used here). *)
 
-val uniform_range : Rng.t -> lo:float -> hi:float -> float
-
 val geometric : Rng.t -> mean:float -> int
 (** Geometric on [{1, 2, …}] with the given mean ([≥ 1]), by inversion;
     [mean = 1] is the constant 1. Batch sizes for bursty arrivals. *)

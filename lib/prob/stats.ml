@@ -76,7 +76,3 @@ let quantile xs p =
     let w = pos -. float_of_int lo in
     ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g std=%.3g min=%.4g max=%.4g" s.n s.mean
-    s.std s.min s.max

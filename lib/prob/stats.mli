@@ -43,5 +43,3 @@ val quantile : float array -> float -> float
 (** [quantile xs p] with [p ∈ [0,1]], linear interpolation between order
     statistics; sorts a copy. @raise Invalid_argument on empty input or
     [p] outside [[0,1]]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

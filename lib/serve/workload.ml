@@ -1,5 +1,5 @@
-(* Deterministic heavy query stream, shared by the `bench serve` kernel
-   and the daemon replay client so both measure the same traffic shape:
+(* Deterministic heavy query stream, shared by the daemon replay client
+   and the in-process replay tests so both see the same traffic shape:
    a zipf-ish distribution over a λ grid (a few hot rates dominate, as
    a dashboard or an auto-scaler re-asking about current load would),
    per-model hot-spot permutations so different families heat different

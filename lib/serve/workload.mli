@@ -1,11 +1,12 @@
 (** Deterministic heavy query stream for benchmarking and smoke tests.
 
-    The [bench serve] kernel and the daemon replay client both consume
-    this stream so they measure the same traffic shape: queries pick a
-    model uniformly and a λ from a zipf-ish distribution over a grid
-    (hot rates repeat heavily — the cache's bread and butter), with a
-    configurable share of off-grid λs landing strictly between grid
-    points, the case only sub-grid interpolation can short-circuit.
+    The daemon replay client and the in-process replay tests
+    ([test/test_serve.ml]) both consume this stream, so they see the
+    same traffic shape: queries pick a model uniformly and a λ from a
+    zipf-ish distribution over a grid (hot rates repeat heavily — the
+    cache's bread and butter), with a configurable share of off-grid
+    λs landing strictly between grid points, the case only sub-grid
+    interpolation can short-circuit.
     Generation uses a self-contained Lehmer LCG, so a given seed yields
     the identical stream on every OCaml version and platform. *)
 

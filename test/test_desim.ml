@@ -6,13 +6,13 @@ let check_float = Alcotest.(check (float 1e-12))
 (* ---------- Event_heap ---------- *)
 
 let test_heap_ordering () =
-  let h = Desim.Event_heap.create () in
+  let h = Event_heap.create () in
   List.iter
-    (fun t -> Desim.Event_heap.push h ~time:t (int_of_float (t *. 10.0)))
+    (fun t -> Event_heap.push h ~time:t (int_of_float (t *. 10.0)))
     [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
   let order = ref [] in
   let rec drain () =
-    match Desim.Event_heap.pop h with
+    match Event_heap.pop h with
     | Some (t, _) ->
         order := t :: !order;
         drain ()
@@ -23,31 +23,31 @@ let test_heap_ordering () =
     "sorted" [ 0.5; 1.0; 2.0; 2.5; 3.0 ] (List.rev !order)
 
 let test_heap_fifo_ties () =
-  let h = Desim.Event_heap.create () in
+  let h = Event_heap.create () in
   for i = 0 to 9 do
-    Desim.Event_heap.push h ~time:1.0 i
+    Event_heap.push h ~time:1.0 i
   done;
   for expected = 0 to 9 do
-    match Desim.Event_heap.pop h with
+    match Event_heap.pop h with
     | Some (_, got) -> Alcotest.(check int) "fifo" expected got
     | None -> Alcotest.fail "heap drained early"
   done
 
 let test_heap_interleaved () =
   (* pops between pushes keep order *)
-  let h = Desim.Event_heap.create ~capacity:1 () in
-  Desim.Event_heap.push h ~time:5.0 'a';
-  Desim.Event_heap.push h ~time:1.0 'b';
-  (match Desim.Event_heap.pop h with
+  let h = Event_heap.create ~capacity:1 () in
+  Event_heap.push h ~time:5.0 'a';
+  Event_heap.push h ~time:1.0 'b';
+  (match Event_heap.pop h with
   | Some (t, c) ->
       check_float "t" 1.0 t;
       Alcotest.(check char) "c" 'b' c
   | None -> Alcotest.fail "empty");
-  Desim.Event_heap.push h ~time:0.5 'c';
-  Desim.Event_heap.push h ~time:9.0 'd';
+  Event_heap.push h ~time:0.5 'c';
+  Event_heap.push h ~time:9.0 'd';
   let seq = ref [] in
   let rec drain () =
-    match Desim.Event_heap.pop h with
+    match Event_heap.pop h with
     | Some (_, c) ->
         seq := c :: !seq;
         drain ()
@@ -57,17 +57,17 @@ let test_heap_interleaved () =
   Alcotest.(check (list char)) "rest" [ 'c'; 'a'; 'd' ] (List.rev !seq)
 
 let test_heap_growth () =
-  let h = Desim.Event_heap.create ~capacity:2 () in
+  let h = Event_heap.create ~capacity:2 () in
   for i = 0 to 999 do
-    Desim.Event_heap.push h ~time:(float_of_int (999 - i)) i
+    Event_heap.push h ~time:(float_of_int (999 - i)) i
   done;
-  Alcotest.(check int) "length" 1000 (Desim.Event_heap.length h);
-  (match Desim.Event_heap.peek_time h with
+  Alcotest.(check int) "length" 1000 (Event_heap.length h);
+  (match Event_heap.peek_time h with
   | Some t -> check_float "peek" 0.0 t
   | None -> Alcotest.fail "empty");
   let last = ref neg_infinity in
   let rec drain () =
-    match Desim.Event_heap.pop h with
+    match Event_heap.pop h with
     | Some (t, _) ->
         Alcotest.(check bool) "monotone" true (t >= !last);
         last := t;
@@ -78,22 +78,22 @@ let test_heap_growth () =
 
 let test_heap_nan () =
   Alcotest.check_raises "nan" (Invalid_argument "Event_heap.push: NaN time")
-    (fun () -> Desim.Event_heap.push (Desim.Event_heap.create ()) ~time:nan 0)
+    (fun () -> Event_heap.push (Event_heap.create ()) ~time:nan 0)
 
 let test_heap_clear () =
-  let h = Desim.Event_heap.create () in
-  Desim.Event_heap.push h ~time:1.0 0;
-  Desim.Event_heap.clear h;
-  Alcotest.(check bool) "empty" true (Desim.Event_heap.is_empty h)
+  let h = Event_heap.create () in
+  Event_heap.push h ~time:1.0 0;
+  Event_heap.clear h;
+  Alcotest.(check bool) "empty" true (Event_heap.is_empty h)
 
 let qcheck_heap_sorts =
   QCheck.Test.make ~count:200 ~name:"heap pops in non-decreasing time order"
     QCheck.(list (float_bound_inclusive 1000.0))
     (fun times ->
-      let h = Desim.Event_heap.create () in
-      List.iter (fun t -> Desim.Event_heap.push h ~time:t ()) times;
+      let h = Event_heap.create () in
+      List.iter (fun t -> Event_heap.push h ~time:t ()) times;
       let rec drain last =
-        match Desim.Event_heap.pop h with
+        match Event_heap.pop h with
         | Some (t, ()) -> t >= last && drain t
         | None -> true
       in
@@ -103,10 +103,10 @@ let qcheck_heap_preserves_multiset =
   QCheck.Test.make ~count:200 ~name:"heap returns exactly what was pushed"
     QCheck.(list (float_bound_inclusive 100.0))
     (fun times ->
-      let h = Desim.Event_heap.create () in
-      List.iter (fun t -> Desim.Event_heap.push h ~time:t ()) times;
+      let h = Event_heap.create () in
+      List.iter (fun t -> Event_heap.push h ~time:t ()) times;
       let rec drain acc =
-        match Desim.Event_heap.pop h with
+        match Event_heap.pop h with
         | Some (t, ()) -> drain (t :: acc)
         | None -> acc
       in
@@ -186,14 +186,14 @@ let qcheck_packed_matches_event_heap =
     QCheck.(list (float_bound_inclusive 100.0))
     (fun times ->
       let ph = Desim.Packed_heap.create () in
-      let eh = Desim.Event_heap.create () in
+      let eh = Event_heap.create () in
       List.iteri
         (fun i t ->
           Desim.Packed_heap.push ph ~time:t ~payload:i ~aux:(float_of_int i);
-          Desim.Event_heap.push eh ~time:t i)
+          Event_heap.push eh ~time:t i)
         times;
       let rec drain acc =
-        match (Desim.Packed_heap.pop ph, Desim.Event_heap.pop eh) with
+        match (Desim.Packed_heap.pop ph, Event_heap.pop eh) with
         | Some (pt, pp, pa), Some (et, ep) ->
             Float.equal pt et && pp = ep
             && Float.equal pa (float_of_int pp)

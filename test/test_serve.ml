@@ -639,6 +639,94 @@ let test_workload_burst_mode () =
       (fun () -> Workload.stream ~burst_share:0.3 ~burst_len:0 10);
     ]
 
+(* ---------- Replay counters ---------- *)
+
+(* The seeded heavy stream replayed in-process. Every count below is a
+   property of the stream and the solvers, not of the host, so each is
+   an exact or one-sided gate at its recorded value: a change that
+   caches less or spends more derivative evaluations fails here.
+   Latency is measured over the socket by perfbench, not here. *)
+let replay_queries = 3000
+
+let resolve_stream stream =
+  List.map
+    (fun q ->
+      ( resolve_exn ~depth:Server.default_config.Server.depth q.Workload.model
+          q.Workload.params,
+        Key.canon_float q.Workload.lambda ))
+    stream
+
+let replay_key (fam, lambda) =
+  fam.Families.family ^ "|" ^ Key.canon_string lambda
+
+let test_replay_stream_counters () =
+  let tol = Server.default_config.Server.tol in
+  let queries = resolve_stream (Workload.stream ~seed:42 replay_queries) in
+  (* each distinct key solved once from the model's default start: the
+     cold cost the warm tier is measured against *)
+  let cold = Hashtbl.create 1024 in
+  List.iter
+    (fun ((fam, lambda) as q) ->
+      let key = replay_key q in
+      if not (Hashtbl.mem cold key) then
+        Hashtbl.add cold key
+          (Meanfield.Drive.fixed_point ~tol (fam.Families.build lambda))
+            .Meanfield.Drive.evals)
+    queries;
+  let distinct = Hashtbl.length cold in
+  let cold_evals = Hashtbl.fold (fun _ evals acc -> acc + evals) cold 0 in
+  let server = Server.create () in
+  let hits = ref 0 and warms = ref 0 in
+  let warm_evals = ref 0 and warm_cold_evals = ref 0 in
+  List.iter
+    (fun ((fam, lambda) as q) ->
+      let a = Server.answer server fam lambda in
+      match a.Server.source with
+      | Server.Hit -> incr hits
+      | Server.Warm ->
+          incr warms;
+          warm_evals := !warm_evals + a.Server.evals;
+          warm_cold_evals := !warm_cold_evals + Hashtbl.find cold (replay_key q)
+      | Server.Interpolated | Server.Cold -> ())
+    queries;
+  Alcotest.(check int) "distinct keys" 623 distinct;
+  (* every answer is cached, so every repeat of a key is a hit *)
+  Alcotest.(check int) "hits" (replay_queries - distinct) !hits;
+  let per num den = float_of_int num /. float_of_int den in
+  let at_most bound label v =
+    Alcotest.(check bool) (Printf.sprintf "%s %.4f <= %.4f" label v bound) true
+      (v <= bound)
+  in
+  (* recorded as 681.071: 324,871 evals over 477 warm misses, which
+     rounds down to it, so the bound is the exact fraction *)
+  at_most (324_871.0 /. 477.0) "warm evals per miss" (per !warm_evals !warms);
+  at_most 1857.66 "cold evals per solve" (per cold_evals distinct);
+  (* matched keys: the warm-served keys' own cold cost over their warm
+     cost, so the order the cache fills in cannot skew the ratio *)
+  let ratio = per !warm_cold_evals !warm_evals in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm vs cold ratio %.5f >= 3.366" ratio)
+    true (ratio >= 3.366)
+
+let test_replay_burst_batching () =
+  let burst_len = 8 in
+  let queries =
+    resolve_stream
+      (Workload.stream ~seed:42 ~burst_share:0.3 ~burst_len replay_queries)
+  in
+  let server = Server.create () in
+  let rec send = function
+    | [] -> ()
+    | qs ->
+        let chunk = List.filteri (fun i _ -> i < burst_len) qs in
+        ignore (Server.answer_batch server chunk);
+        send (List.filteri (fun i _ -> i >= burst_len) qs)
+  in
+  send queries;
+  let s = Server.stats server in
+  Alcotest.(check int) "batched solves" 32 s.Server.batched_solves;
+  Alcotest.(check int) "batched columns" 108 s.Server.batched_columns
+
 let () =
   Alcotest.run "serve"
     [
@@ -712,5 +800,12 @@ let () =
           Alcotest.test_case "off-grid share" `Quick
             test_workload_offgrid_share;
           Alcotest.test_case "burst mode" `Quick test_workload_burst_mode;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "heavy stream counters" `Slow
+            test_replay_stream_counters;
+          Alcotest.test_case "burst batching counters" `Slow
+            test_replay_burst_batching;
         ] );
     ]
