@@ -16,7 +16,8 @@
                                    adaptive+Anderson with lambda-continuation
      main.exe meanfield --json F   also write evals/wall-time metrics to F
      main.exe meanfield-batch      lockstep multi-lambda solves vs K scalar
-                                   solves: stepper-sweep overhead ratio
+                                   solves: stepper-sweep overhead ratio,
+                                   wall clock and minor words per eval
      main.exe meanfield-batch --json F
                                    also write the meanfield_batch/* metrics
      main.exe hotpath              events/sec + minor-words/event kernels
@@ -494,23 +495,34 @@ let run_meanfield ~json () =
    per-column freezing keeps it near K even though the lockstep grid
    follows the stiffest column. Per-column results are residual-
    certified against the scalar tolerance, so the ratio never trades
-   accuracy for speed. *)
+   accuracy for speed.
+
+   Sweeps are not cost: each side also reports its wall clock and its
+   minor-heap words per derivative eval (models are built outside both
+   windows). The words are deterministic in a release build, and CI
+   fails a grid whose batch allocates more per eval than its scalar
+   solves; the seconds are printed for comparison and gate nothing. *)
 let meanfield_batch_case ~name ~tol ~build ~build_batch lambdas =
   let grid = Array.of_list lambdas in
   let k = Array.length grid in
+  let models = Array.map build grid in
+  let batch_models = build_batch grid in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let scalar_evals =
     Array.fold_left
-      (fun acc lambda ->
-        let fp = Meanfield.Drive.fixed_point ~tol (build lambda) in
+      (fun acc m ->
+        let fp = Meanfield.Drive.fixed_point ~tol m in
         if not fp.Meanfield.Drive.converged then
           failwith (name ^ ": scalar solve did not converge");
         acc + fp.Meanfield.Drive.evals)
-      0 grid
+      0 models
   in
   let t1 = Unix.gettimeofday () in
-  let fps, stats = Meanfield.Drive.fixed_point_batch ~tol (build_batch grid) in
+  let w1 = Gc.minor_words () in
+  let fps, stats = Meanfield.Drive.fixed_point_batch ~tol batch_models in
   let t2 = Unix.gettimeofday () in
+  let w2 = Gc.minor_words () in
   Array.iter
     (fun fp ->
       if not fp.Meanfield.Drive.converged then
@@ -523,11 +535,14 @@ let meanfield_batch_case ~name ~tol ~build ~build_batch lambdas =
   in
   let rounds = stats.Meanfield.Drive.rounds in
   let ratio = float_of_int scalar_evals /. float_of_int (max 1 rounds) in
+  let scalar_wpe = (w1 -. w0) /. float_of_int (max 1 scalar_evals) in
+  let batch_wpe = (w2 -. w1) /. float_of_int (max 1 batch_evals) in
   Printf.printf
-    "  %-18s K=%-3d scalar %8d evals %6.2f s   batch %6d rounds (%8d \
-     col-evals) %6.2f s   %5.1fx%s\n\
+    "  %-18s K=%-3d scalar %8d evals %6.2f s %7.1f w/eval   batch %6d \
+     rounds (%8d col-evals) %6.2f s %7.1f w/eval   %5.1fx%s\n\
      %!"
-    name k scalar_evals (t1 -. t0) rounds batch_evals (t2 -. t1) ratio
+    name k scalar_evals (t1 -. t0) scalar_wpe rounds batch_evals (t2 -. t1)
+    batch_wpe ratio
     (if stats.Meanfield.Drive.hand_batched then "" else "  [bridge]");
   ( name,
     [
@@ -537,6 +552,12 @@ let meanfield_batch_case ~name ~tol ~build ~build_batch lambdas =
       (Printf.sprintf "meanfield_batch/%s/col_evals" name,
        float_of_int batch_evals);
       (Printf.sprintf "meanfield_batch/%s/overhead_ratio" name, ratio);
+      (Printf.sprintf "meanfield_batch/%s/scalar_seconds" name, t1 -. t0);
+      (Printf.sprintf "meanfield_batch/%s/batch_seconds" name, t2 -. t1);
+      (Printf.sprintf "meanfield_batch/%s/scalar_minor_words_per_eval" name,
+       scalar_wpe);
+      (Printf.sprintf "meanfield_batch/%s/batch_minor_words_per_eval" name,
+       batch_wpe);
     ],
     (scalar_evals, rounds) )
 

@@ -6,16 +6,15 @@ let deriv ~event_rate ~fail ~t ~y ~dy =
   (* fail = 1 - 1/mean_batch: per-extra-task continuation probability *)
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
   let attempt = y.(1) -. y.(2) in
-  let s_t = get t in
+  let s_t = Tail.get y ~ratio t in
   dy.(0) <- 0.0;
   (* G_i = sum_{j<i} p_j fail^(i-1-j): batch reach of level i *)
   let reach = ref 0.0 in
   for i = 1 to n - 1 do
     reach := (!reach *. fail) +. (y.(i - 1) -. y.(i));
     let arrive = event_rate *. !reach in
-    let drain = y.(i) -. get (i + 1) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
     if i = 1 then dy.(i) <- arrive -. (drain *. (1.0 -. s_t))
     else begin
       let steal_loss = if i >= t then drain *. attempt else 0.0 in

@@ -1,25 +1,16 @@
 open Numerics
 
-let ipow x d =
-  let rec go acc x d =
-    if d = 0 then acc
-    else if d land 1 = 1 then go (acc *. x) (x *. x) (d asr 1)
-    else go acc (x *. x) (d asr 1)
-  in
-  go 1.0 x d
-
 let deriv ~lambda ~t ~d ~k ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
   let attempt = y.(1) -. y.(2) in
-  let miss_all = ipow (1.0 -. get t) d in
+  let miss_all = Tail.ipow (1.0 -. Tail.get y ~ratio t) d in
   let success = 1.0 -. miss_all in
   dy.(0) <- 0.0;
   dy.(1) <- (lambda *. (y.(0) -. y.(1))) -. (attempt *. miss_all);
   for i = 2 to n - 1 do
     let arrive = lambda *. (y.(i - 1) -. y.(i)) in
-    let drain = y.(i) -. get (i + 1) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
     let thief_gain = if i <= k then attempt *. success else 0.0 in
     let victim_loss =
       (* victims v with max(i, T) <= v <= i+k-1 drop below level i *)
@@ -28,7 +19,8 @@ let deriv ~lambda ~t ~d ~k ~y ~dy =
       if b < a then 0.0
       else
         attempt
-        *. (ipow (1.0 -. get (b + 1)) d -. ipow (1.0 -. get a) d)
+        *. (Tail.ipow (1.0 -. Tail.get y ~ratio (b + 1)) d
+           -. Tail.ipow (1.0 -. Tail.get y ~ratio a) d)
     in
     dy.(i) <- arrive -. drain +. thief_gain -. victim_loss
   done

@@ -24,35 +24,35 @@ let mean_tasks ~stages s =
 let deriv ~lambda ~c ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
   let cf = float_of_int c in
   let steal_rate = cf *. (y.(1) -. y.(2)) in
-  let succ = get (c + 1) in
+  let succ = Tail.get y ~ratio (c + 1) in
   dy.(0) <- 0.0;
   dy.(1) <-
     (lambda *. (y.(0) -. y.(1))) -. (steal_rate *. (1.0 -. succ));
   for i = 2 to n - 1 do
-    let drain = cf *. (y.(i) -. get (i + 1)) in
+    let drain = cf *. (y.(i) -. Tail.get y ~ratio (i + 1)) in
     if i <= c then
       (* Arrivals land c fresh stages on any processor below i stages; a
          successful steal refills the thief's first c stage-levels, net of
          the victim's loss in the same range. *)
       dy.(i) <-
         (lambda *. (y.(0) -. y.(i)))
-        +. (steal_rate *. get (i + c))
+        +. (steal_rate *. Tail.get y ~ratio (i + c))
         -. drain
     else
       dy.(i) <-
         (lambda *. (y.(i - c) -. y.(i)))
         -. drain
-        -. ((y.(1) -. y.(2)) *. cf *. (y.(i) -. get (i + c)))
+        -. ((y.(1) -. y.(2)) *. cf *. (y.(i) -. Tail.get y ~ratio (i + c)))
   done
 
 (* Column-wise kernel for a batch of Erlang-stage systems sharing one
    stage count [c]: per-column arithmetic mirrors {!deriv} exactly
    (bit-identical), row-outer for stride-1 sweeps. [ratios]/[steals]
    are per-batch scratch; runs allocation-free. *)
-let deriv_cols ~lambdas ~c ~ratios ~steals ~ys ~dys ~cols =
+let deriv_cols ~lambdas ~c ~ratios ~steals ~(ys : Mat.t) ~(dys : Mat.t)
+    ~cols =
   let n = Bigarray.Array2.dim1 ys in
   let na = cols.Active.n in
   let cf = float_of_int c in

@@ -4,39 +4,42 @@ open Numerics
 
 let depth_of_dim dim = (dim / 2) - 1
 
-let segment_ratio y off depth =
-  let a = y.(off + depth) and b = y.(off + depth - 1) in
-  if b <= 1e-250 || a <= 0.0 then 0.0 else Float.min 0.999999 (a /. b)
+(* One class's tail equations, read from and written to its segment at
+   [off]. Inlined at both call sites, so neither the reads nor the float
+   arguments are boxed. *)
+let[@inline] class_deriv ~lambda ~mu ~t ~depth ~attempts ~pool ~off ~y ~dy =
+  let s0 = Tail.seg_get y ~off ~depth 0
+  and s1 = Tail.seg_get y ~off ~depth 1
+  and s2 = Tail.seg_get y ~off ~depth 2 in
+  dy.(off) <- 0.0;
+  dy.(off + 1) <- (lambda *. (s0 -. s1)) -. (mu *. (s1 -. s2) *. (1.0 -. pool));
+  for i = 2 to depth do
+    let si = Tail.seg_get y ~off ~depth i
+    and next = Tail.seg_get y ~off ~depth (i + 1) in
+    let drain = mu *. (si -. next) in
+    let steal_loss = if i >= t then attempts *. (si -. next) else 0.0 in
+    dy.(off + i) <-
+      (lambda *. (Tail.seg_get y ~off ~depth (i - 1) -. si))
+      -. drain -. steal_loss
+  done
 
 let deriv ~lambda ~mu_f ~mu_s ~t ~depth ~y ~dy =
   let off = depth + 1 in
-  let ru = segment_ratio y 0 depth and rv = segment_ratio y off depth in
-  let u i = if i <= depth then y.(i) else y.(depth) *. ru in
-  let v i = if i <= depth then y.(off + i) else y.(off + depth) *. rv in
-  let attempts = (mu_f *. (u 1 -. u 2)) +. (mu_s *. (v 1 -. v 2)) in
-  let pool = u t +. v t in
-  let class_deriv ~mu ~get ~set =
-    set 0 0.0;
-    set 1
-      ((lambda *. (get 0 -. get 1))
-      -. (mu *. (get 1 -. get 2) *. (1.0 -. pool)));
-    for i = 2 to depth do
-      let drain = mu *. (get i -. get (i + 1)) in
-      let steal_loss =
-        if i >= t then attempts *. (get i -. get (i + 1)) else 0.0
-      in
-      set i ((lambda *. (get (i - 1) -. get i)) -. drain -. steal_loss)
-    done
+  let attempts =
+    (mu_f
+    *. (Tail.seg_get y ~off:0 ~depth 1 -. Tail.seg_get y ~off:0 ~depth 2))
+    +. (mu_s *. (Tail.seg_get y ~off ~depth 1 -. Tail.seg_get y ~off ~depth 2))
   in
-  class_deriv ~mu:mu_f ~get:u ~set:(fun i x -> dy.(i) <- x);
-  class_deriv ~mu:mu_s ~get:v ~set:(fun i x -> dy.(off + i) <- x)
+  let pool = Tail.seg_get y ~off:0 ~depth t +. Tail.seg_get y ~off ~depth t in
+  class_deriv ~lambda ~mu:mu_f ~t ~depth ~attempts ~pool ~off:0 ~y ~dy;
+  class_deriv ~lambda ~mu:mu_s ~t ~depth ~attempts ~pool ~off ~y ~dy
 
 let seg_mean_tasks y off depth =
   let acc = ref 0.0 in
   for i = 1 to depth do
     acc := !acc +. y.(off + i)
   done;
-  let rho = segment_ratio y off depth in
+  let rho = Tail.seg_ratio y ~off ~depth in
   if rho > 0.0 then acc := !acc +. (y.(off + depth) *. rho /. (1.0 -. rho));
   !acc
 

@@ -5,49 +5,54 @@ open Numerics
 
 let depth_of_dim dim = dim / 2
 
-let seg_ratio y off depth =
-  let a = y.(off + depth) and b = y.(off + depth - 1) in
-  if b <= 1e-250 || a <= 0.0 then 0.0 else Float.min 0.999999 (a /. b)
-
+(* u_k is level k of the segment at [off = 0], v_k of the one at
+   [off = depth]; [Tail.seg_get] closes each one level past [depth]. *)
 let deriv ~lambda ~p1 ~mu1 ~mu2 ~t ~depth ~y ~dy =
   let p2 = 1.0 -. p1 in
-  let ru = seg_ratio y 0 depth and rv = seg_ratio y depth depth in
-  let u k = if k <= depth then y.(k) else y.(depth) *. ru in
-  let v k = if k <= depth then y.(depth + k) else y.(2 * depth) *. rv in
-  let empty = 1.0 -. u 1 -. v 1 in
-  let s_t = u t +. v t in
-  let attempt = (mu1 *. (u 1 -. u 2)) +. (mu2 *. (v 1 -. v 2)) in
+  let u1 = Tail.seg_get y ~off:0 ~depth 1
+  and u2 = Tail.seg_get y ~off:0 ~depth 2 in
+  let v1 = Tail.seg_get y ~off:depth ~depth 1
+  and v2 = Tail.seg_get y ~off:depth ~depth 2 in
+  let empty = 1.0 -. u1 -. v1 in
+  let s_t =
+    Tail.seg_get y ~off:0 ~depth t +. Tail.seg_get y ~off:depth ~depth t
+  in
+  let attempt = (mu1 *. (u1 -. u2)) +. (mu2 *. (v1 -. v2)) in
   dy.(0) <- 0.0;
   (* phase-1 population *)
   dy.(1) <-
     (lambda *. empty *. p1)
-    -. (mu1 *. (u 1 -. u 2) *. (1.0 -. (s_t *. p1)))
-    +. (mu2 *. (v 1 -. v 2) *. s_t *. p1)
-    -. (mu1 *. p2 *. u 2)
-    +. (mu2 *. p1 *. v 2);
+    -. (mu1 *. (u1 -. u2) *. (1.0 -. (s_t *. p1)))
+    +. (mu2 *. (v1 -. v2) *. s_t *. p1)
+    -. (mu1 *. p2 *. u2)
+    +. (mu2 *. p1 *. v2);
   for k = 2 to depth do
-    let steal_loss = if k >= t then attempt *. (u k -. u (k + 1)) else 0.0 in
+    let uk = Tail.seg_get y ~off:0 ~depth k
+    and un = Tail.seg_get y ~off:0 ~depth (k + 1) in
+    let steal_loss = if k >= t then attempt *. (uk -. un) else 0.0 in
     dy.(k) <-
-      (lambda *. (u (k - 1) -. u k))
-      -. (mu1 *. (u k -. u (k + 1)))
-      -. (mu1 *. p2 *. u (k + 1))
-      +. (mu2 *. p1 *. v (k + 1))
+      (lambda *. (Tail.seg_get y ~off:0 ~depth (k - 1) -. uk))
+      -. (mu1 *. (uk -. un))
+      -. (mu1 *. p2 *. un)
+      +. (mu2 *. p1 *. Tail.seg_get y ~off:depth ~depth (k + 1))
       -. steal_loss
   done;
   (* phase-2 population *)
   dy.(depth + 1) <-
     (lambda *. empty *. p2)
-    -. (mu2 *. (v 1 -. v 2) *. (1.0 -. (s_t *. p2)))
-    +. (mu1 *. (u 1 -. u 2) *. s_t *. p2)
-    -. (mu2 *. p1 *. v 2)
-    +. (mu1 *. p2 *. u 2);
+    -. (mu2 *. (v1 -. v2) *. (1.0 -. (s_t *. p2)))
+    +. (mu1 *. (u1 -. u2) *. s_t *. p2)
+    -. (mu2 *. p1 *. v2)
+    +. (mu1 *. p2 *. u2);
   for k = 2 to depth do
-    let steal_loss = if k >= t then attempt *. (v k -. v (k + 1)) else 0.0 in
+    let vk = Tail.seg_get y ~off:depth ~depth k
+    and vn = Tail.seg_get y ~off:depth ~depth (k + 1) in
+    let steal_loss = if k >= t then attempt *. (vk -. vn) else 0.0 in
     dy.(depth + k) <-
-      (lambda *. (v (k - 1) -. v k))
-      -. (mu2 *. (v k -. v (k + 1)))
-      -. (mu2 *. p1 *. v (k + 1))
-      +. (mu1 *. p2 *. u (k + 1))
+      (lambda *. (Tail.seg_get y ~off:depth ~depth (k - 1) -. vk))
+      -. (mu2 *. (vk -. vn))
+      -. (mu2 *. p1 *. vn)
+      +. (mu1 *. p2 *. Tail.seg_get y ~off:0 ~depth (k + 1))
       -. steal_loss
   done
 
@@ -56,7 +61,7 @@ let seg_mean y off depth =
   for k = 1 to depth do
     acc := !acc +. y.(off + k)
   done;
-  let rho = seg_ratio y off depth in
+  let rho = Tail.seg_ratio y ~off ~depth in
   if rho > 0.0 then acc := !acc +. (y.(off + depth) *. rho /. (1.0 -. rho));
   !acc
 

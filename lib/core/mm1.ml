@@ -5,7 +5,7 @@ let deriv ~lambda ~y ~dy =
   let ratio = Tail.boundary_ratio y in
   dy.(0) <- 0.0;
   for i = 1 to n - 1 do
-    let next = if i + 1 < n then y.(i + 1) else Tail.ext y ~ratio (i + 1) in
+    let next = Tail.get y ~ratio (i + 1) in
     dy.(i) <- (lambda *. (y.(i - 1) -. y.(i))) -. (y.(i) -. next)
   done
 
@@ -24,7 +24,7 @@ let model ~lambda ?dim () =
    result is bit-identical, with the i-loop outermost so each sweep
    walks three stride-1 rows across the batch. [ratios] is per-batch
    scratch for the boundary ratios; runs allocation-free. *)
-let deriv_cols ~lambdas ~ratios ~ys ~dys ~cols =
+let deriv_cols ~lambdas ~ratios ~(ys : Mat.t) ~(dys : Mat.t) ~cols =
   let n = Bigarray.Array2.dim1 ys in
   let na = cols.Active.n in
   for j = 0 to na - 1 do

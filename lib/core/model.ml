@@ -47,7 +47,8 @@ let of_single_tail ~name ~lambda ~dim ~deriv ?deriv_cols ?predicted_tail_ratio
    derivative arithmetic itself. The copies and the dispatch stay
    allocation-free; models may differ per column (each carries its own
    rate constants). *)
-let fallback_deriv_cols models ybuf dybuf ~ys ~dys ~cols =
+let fallback_deriv_cols models ybuf dybuf ~(ys : Mat.t) ~(dys : Mat.t)
+    ~cols =
   let n = Array.length ybuf in
   for j = 0 to cols.Active.n - 1 do
     let k = Array.unsafe_get cols.Active.idx j in

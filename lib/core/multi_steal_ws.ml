@@ -3,18 +3,19 @@ open Numerics
 let deriv ~lambda ~k ~t ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
   let attempt = y.(1) -. y.(2) in
-  let s_t = get t in
+  let s_t = Tail.get y ~ratio t in
   dy.(0) <- 0.0;
   dy.(1) <- (lambda *. (y.(0) -. y.(1))) -. (attempt *. (1.0 -. s_t));
   for i = 2 to n - 1 do
-    let drain = y.(i) -. get (i + 1) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
     let arrive = lambda *. (y.(i - 1) -. y.(i)) in
     let thief_gain = if i <= k then attempt *. s_t else 0.0 in
     let victim_loss =
       (* victims of load x lower s_i when i ≤ x < i+k and x ≥ T *)
-      let hi = get (max i t) -. get (max (i + k) t) in
+      let hi =
+        Tail.get y ~ratio (max i t) -. Tail.get y ~ratio (max (i + k) t)
+      in
       attempt *. hi
     in
     dy.(i) <- arrive -. drain +. thief_gain -. victim_loss

@@ -6,22 +6,21 @@ let tail_ratio_predicted ~lambda s ~begin_at =
 let deriv ~lambda ~b ~t ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
   dy.(0) <- 0.0;
   for i = 1 to n - 1 do
-    let drain = y.(i) -. get (i + 1) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
     let arrive = lambda *. (y.(i - 1) -. y.(i)) in
     if i <= b + 1 then
       (* Completion leaves the thief at load i-1 ≤ B: it attempts a steal
          from a victim with ≥ i+T-1 tasks, and on success its own level is
          instantly restored. *)
-      dy.(i) <- arrive -. (drain *. (1.0 -. get (i + t - 1)))
+      dy.(i) <- arrive -. (drain *. (1.0 -. Tail.get y ~ratio (i + t - 1)))
     else if i <= t - 1 then dy.(i) <- arrive -. drain
     else begin
       (* Victim side: thieves at levels j ≤ min(B, i-T) target exactly-i
          victims; their aggregate completion-rate density telescopes. *)
       let cut = min (b + 2) (i - t + 2) in
-      let thief_rate = y.(1) -. get cut in
+      let thief_rate = y.(1) -. Tail.get y ~ratio cut in
       dy.(i) <- arrive -. drain -. (drain *. thief_rate)
     end
   done

@@ -23,20 +23,19 @@ open Numerics
 let deriv ~lambda ~rates ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
   let nrates = Array.length rates in
   let rate j = if j < nrates then rates.(j) else rates.(nrates - 1) in
   dy.(0) <- 0.0;
   for i = 1 to n - 1 do
     dy.(i) <-
-      (lambda *. (y.(i - 1) -. y.(i))) -. (y.(i) -. get (i + 1))
+      (lambda *. (y.(i - 1) -. y.(i))) -. (y.(i) -. Tail.get y ~ratio (i + 1))
   done;
   (* Point masses (clamped: a sub-rounding negative mass is noise, and
      the interaction must not turn it into a signed flow) and their
      effective support. *)
   let p =
     Array.init n (fun j ->
-        let m = y.(j) -. get (j + 1) in
+        let m = y.(j) -. Tail.get y ~ratio (j + 1) in
         if m > 0.0 then m else 0.0)
   in
   let support = ref (n - 1) in

@@ -7,8 +7,7 @@ let tail_ratio_predicted ~lambda ~retry_rate s =
 let deriv ~lambda ~r ~t ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
-  let s_t = get t in
+  let s_t = Tail.get y ~ratio t in
   let empty = y.(0) -. y.(1) in
   let on_complete = y.(1) -. y.(2) in
   dy.(0) <- 0.0;
@@ -17,7 +16,7 @@ let deriv ~lambda ~r ~t ~y ~dy =
     +. (r *. empty *. s_t)
     -. (on_complete *. (1.0 -. s_t));
   for i = 2 to n - 1 do
-    let drain = y.(i) -. get (i + 1) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
     let arrive = lambda *. (y.(i - 1) -. y.(i)) in
     if i <= t - 1 then dy.(i) <- arrive -. drain
     else

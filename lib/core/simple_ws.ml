@@ -13,7 +13,7 @@ let deriv ~lambda ~y ~dy =
   dy.(0) <- 0.0;
   dy.(1) <- (lambda *. (y.(0) -. y.(1))) -. (steal_rate *. (1.0 -. y.(2)));
   for i = 2 to n - 1 do
-    let next = if i + 1 < n then y.(i + 1) else Tail.ext y ~ratio (i + 1) in
+    let next = Tail.get y ~ratio (i + 1) in
     let drain = y.(i) -. next in
     dy.(i) <-
       (lambda *. (y.(i - 1) -. y.(i))) -. drain -. (drain *. steal_rate)
@@ -35,7 +35,7 @@ let model ~lambda ?dim () =
    arithmetic mirrors {!deriv} exactly (bit-identical), row-outer for
    stride-1 sweeps across the batch. [ratios]/[steals] are per-batch
    scratch; runs allocation-free. *)
-let deriv_cols ~lambdas ~ratios ~steals ~ys ~dys ~cols =
+let deriv_cols ~lambdas ~ratios ~steals ~(ys : Mat.t) ~(dys : Mat.t) ~cols =
   let n = Bigarray.Array2.dim1 ys in
   let na = cols.Active.n in
   for j = 0 to na - 1 do

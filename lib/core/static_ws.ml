@@ -1,17 +1,21 @@
 open Numerics
 
+(* Spawn/arrival rate at load [j]; loads past the table reuse its last
+   entry. *)
+let[@inline] arrival_at (arrivals : float array) j =
+  let m = Array.length arrivals in
+  if j < m then arrivals.(j) else arrivals.(m - 1)
+
 let deriv ~arrivals ~stealing ~t ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
-  let arr j = if j < Array.length arrivals then arrivals.(j) else arrivals.(Array.length arrivals - 1) in
   let attempt = y.(1) -. y.(2) in
-  let s_t = get t in
+  let s_t = Tail.get y ~ratio t in
   dy.(0) <- 0.0;
   for i = 1 to n - 1 do
-    (* a processor at load i-1 spawns/receives at rate arr (i-1) *)
-    let arrive = arr (i - 1) *. (y.(i - 1) -. y.(i)) in
-    let drain = y.(i) -. get (i + 1) in
+    (* a processor at load i-1 spawns/receives at its load-(i-1) rate *)
+    let arrive = arrival_at arrivals (i - 1) *. (y.(i - 1) -. y.(i)) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
     if i = 1 then begin
       let keep = if stealing then 1.0 -. s_t else 1.0 in
       dy.(i) <- arrive -. (drain *. keep)

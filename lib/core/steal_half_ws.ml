@@ -3,17 +3,18 @@ open Numerics
 let deriv ~lambda ~t ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
   let attempt = y.(1) -. y.(2) in
-  let s_t = get t in
+  let s_t = Tail.get y ~ratio t in
   dy.(0) <- 0.0;
   dy.(1) <- (lambda *. (y.(0) -. y.(1))) -. (attempt *. (1.0 -. s_t));
   for i = 2 to n - 1 do
     let arrive = lambda *. (y.(i - 1) -. y.(i)) in
-    let drain = y.(i) -. get (i + 1) in
-    let thief_gain = attempt *. get (max t (2 * i)) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
+    let thief_gain = attempt *. Tail.get y ~ratio (max t (2 * i)) in
     let victim_loss =
-      attempt *. (get (max i t) -. get (max ((2 * i) - 1) t))
+      attempt
+      *. (Tail.get y ~ratio (max i t)
+         -. Tail.get y ~ratio (max ((2 * i) - 1) t))
     in
     dy.(i) <- arrive -. drain +. thief_gain -. victim_loss
   done
@@ -22,7 +23,8 @@ let deriv ~lambda ~t ~y ~dy =
    threshold [t]: per-column arithmetic mirrors {!deriv} exactly
    (bit-identical), row-outer for stride-1 sweeps. [ratios]/[attempts]
    are per-batch scratch; runs allocation-free. *)
-let deriv_cols ~lambdas ~t ~ratios ~attempts ~ys ~dys ~cols =
+let deriv_cols ~lambdas ~t ~ratios ~attempts ~(ys : Mat.t) ~(dys : Mat.t)
+    ~cols =
   let n = Bigarray.Array2.dim1 ys in
   let na = cols.Active.n in
   for j = 0 to na - 1 do

@@ -1,26 +1,14 @@
 open Numerics
 
-let ipow x d =
-  let rec go acc x d =
-    if d = 0 then acc
-    else if d land 1 = 1 then go (acc *. x) (x *. x) (d asr 1)
-    else go acc (x *. x) (d asr 1)
-  in
-  go 1.0 x d
-
 let deriv ~lambda ~d ~steal ~y ~dy =
   let n = Vec.dim y in
   let ratio = Tail.boundary_ratio y in
-  let get i = if i < n then y.(i) else Tail.ext y ~ratio i in
-  let attempt, s_t =
-    match steal with
-    | None -> (0.0, 0.0)
-    | Some t -> (y.(1) -. y.(2), get t)
-  in
+  let attempt = match steal with None -> 0.0 | Some _ -> y.(1) -. y.(2) in
+  let s_t = match steal with None -> 0.0 | Some t -> Tail.get y ~ratio t in
   dy.(0) <- 0.0;
   for i = 1 to n - 1 do
-    let arrive = lambda *. (ipow y.(i - 1) d -. ipow y.(i) d) in
-    let drain = y.(i) -. get (i + 1) in
+    let arrive = lambda *. (Tail.ipow y.(i - 1) d -. Tail.ipow y.(i) d) in
+    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
     let steal_adjust =
       match steal with
       | None -> 0.0

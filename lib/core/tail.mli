@@ -30,6 +30,26 @@ val ext : Numerics.Vec.t -> ratio:float -> int -> float
     truncation with the given ratio: for [i ≥ dim],
     [s_{dim-1}·ratio^(i-dim+1)]. *)
 
+val get : Numerics.Vec.t -> ratio:float -> int -> float
+(** [get s ~ratio i] is [s.(i)] inside the truncation and {!ext} beyond
+    it: the one tail reader of the scalar derivatives. Inlined, so the
+    read allocates nothing in a release build. *)
+
+val ipow : float -> int -> float
+(** [ipow x d] is [xᵈ] for [d ≥ 0] by square-and-multiply: the
+    probability that all of [d] sampled queues miss a level in the
+    d-choice families. Inlined and allocation-free. *)
+
+val seg_ratio : Numerics.Vec.t -> off:int -> depth:int -> float
+(** {!boundary_ratio} of the tail segment packed at
+    [y.(off) .. y.(off + depth)], as multi-segment models (phases,
+    server classes, transfer stages) store their populations. *)
+
+val seg_get : Numerics.Vec.t -> off:int -> depth:int -> int -> float
+(** Level [i] of that segment: [y.(off + i)] for [i ≤ depth], else
+    [y.(off + depth)·]{!seg_ratio} — these models read at most one level
+    past the truncation. Inlined and allocation-free, like {!get}. *)
+
 val boundary_ratio_col : Numerics.Mat.t -> int -> float
 (** {!boundary_ratio} of one column of a SoA state matrix — bit-identical
     to the scalar on the same values; allocation-free. *)

@@ -59,7 +59,7 @@ let deriv ~lambda ~threshold ~y ~dy =
   dy.(0) <- 0.0;
   dy.(1) <- (lambda *. (y.(0) -. y.(1))) -. (steal_rate *. (1.0 -. s_t));
   for i = 2 to n - 1 do
-    let next = if i + 1 < n then y.(i + 1) else Tail.ext y ~ratio (i + 1) in
+    let next = Tail.get y ~ratio (i + 1) in
     let drain = y.(i) -. next in
     let steal_loss = if i >= threshold then drain *. steal_rate else 0.0 in
     dy.(i) <- (lambda *. (y.(i - 1) -. y.(i))) -. drain -. steal_loss

@@ -8,54 +8,50 @@ type layout = { depth : int; stages : int }
 
 let seg_of_dim dim stages = { depth = (dim / (stages + 1)) - 1; stages }
 
+(* Level [i] of segment [j]: the packed layout's offset, over the
+   shared inlined reader. *)
+let[@inline] seg y depth j i = Tail.seg_get y ~off:(j * (depth + 1)) ~depth i
+
 let deriv ~lambda ~r ~t ~lay ~y ~dy =
   let { depth; stages = k } = lay in
-  let off j = j * (depth + 1) in
   let nu = float_of_int k *. r in
-  (* per-segment geometric boundary closure *)
-  let ext_ratio j =
-    let a = y.(off j + depth) and b = y.(off j + depth - 1) in
-    if b <= 1e-250 || a <= 0.0 then 0.0 else Float.min 0.999999 (a /. b)
-  in
-  let ratios = Array.init (k + 1) ext_ratio in
-  let seg j i =
-    if i <= depth then y.(off j + i) else y.(off j + depth) *. ratios.(j)
-  in
-  let s i = seg 0 i in
-  let attempt = s 1 -. s 2 in
+  let attempt = seg y depth 0 1 -. seg y depth 0 2 in
   let pool =
-    let acc = ref (s t) in
+    let acc = ref (seg y depth 0 t) in
     for j = 1 to k do
-      acc := !acc +. seg j t
+      acc := !acc +. seg y depth j t
     done;
     !acc
   in
   (* non-waiting segment *)
-  dy.(0) <- (nu *. seg k 0) -. (attempt *. pool);
-  dy.(1) <- (lambda *. (s 0 -. s 1)) +. (nu *. seg k 0) -. attempt;
+  dy.(0) <- (nu *. seg y depth k 0) -. (attempt *. pool);
+  dy.(1) <-
+    (lambda *. (seg y depth 0 0 -. seg y depth 0 1))
+    +. (nu *. seg y depth k 0)
+    -. attempt;
   for i = 2 to depth do
-    let drain = s i -. s (i + 1) in
+    let drain = seg y depth 0 i -. seg y depth 0 (i + 1) in
     let steal_loss = if i >= t then drain *. attempt else 0.0 in
     dy.(i) <-
-      (lambda *. (s (i - 1) -. s i))
-      +. (nu *. seg k (i - 1))
+      (lambda *. (seg y depth 0 (i - 1) -. seg y depth 0 i))
+      +. (nu *. seg y depth k (i - 1))
       -. drain -. steal_loss
   done;
   (* waiting segments *)
   for j = 1 to k do
-    let base = off j in
+    let base = j * (depth + 1) in
     let inflow0 =
-      if j = 1 then attempt *. pool else nu *. seg (j - 1) 0
+      if j = 1 then attempt *. pool else nu *. seg y depth (j - 1) 0
     in
-    dy.(base) <- inflow0 -. (nu *. seg j 0);
+    dy.(base) <- inflow0 -. (nu *. seg y depth j 0);
     for i = 1 to depth do
-      let drain = seg j i -. seg j (i + 1) in
+      let drain = seg y depth j i -. seg y depth j (i + 1) in
       let steal_loss = if i >= t then drain *. attempt else 0.0 in
-      let stage_in = if j = 1 then 0.0 else nu *. seg (j - 1) i in
+      let stage_in = if j = 1 then 0.0 else nu *. seg y depth (j - 1) i in
       dy.(base + i) <-
-        (lambda *. (seg j (i - 1) -. seg j i))
+        (lambda *. (seg y depth j (i - 1) -. seg y depth j i))
         +. stage_in
-        -. (nu *. seg j i)
+        -. (nu *. seg y depth j i)
         -. drain -. steal_loss
     done
   done

@@ -241,7 +241,7 @@ let anderson_cols_reset st k =
   st.achave.(k) <- false
 
 (* Per-column dot of two slab columns restricted to rows 0..dim-1. *)
-let col_dot_k a b k n =
+let[@inline] col_dot_k a b k n =
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     acc := !acc +. (Mat.get a i k *. Mat.get b i k)

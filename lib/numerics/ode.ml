@@ -410,7 +410,7 @@ let batch_guard ws ~max_steps =
    ws.berr (scaled max-norm error estimates). Six derivative sweeps
    shared by the whole batch. Loops are row-outer so each sweep touches
    stride-1 runs across the active columns. *)
-let dp_attempt_cols sys ws ~rtol ~atol ys =
+let dp_attempt_cols sys ws ~rtol ~atol (ys : Mat.t) =
   let n = sys.bdim in
   let act = ws.bworking in
   let na = act.Active.n in
@@ -523,7 +523,7 @@ let dp_attempt_cols sys ws ~rtol ~atol ys =
 (* One lockstep Bogacki-Shampine 3(2) attempt; same contract as
    {!dp_attempt_cols} with the FSAL stage landing in ws.bk4. Three
    derivative sweeps. *)
-let bs_attempt_cols sys ws ~rtol ~atol ys =
+let bs_attempt_cols sys ws ~rtol ~atol (ys : Mat.t) =
   let n = sys.bdim in
   let act = ws.bworking in
   let na = act.Active.n in
@@ -590,7 +590,8 @@ let bs_attempt_cols sys ws ~rtol ~atol ys =
    per column. Accepted columns that reach [t1] are dropped from the
    working set (frozen: their ys column is never touched again);
    rejected columns shrink their own step without holding anyone back. *)
-let batch_commit ws ~fsal ~alpha ~beta ~expo ~dt_max ~t1 ys =
+let batch_commit ws ~(fsal : Mat.t) ~alpha ~beta ~expo ~dt_max ~t1
+    (ys : Mat.t) =
   let n = Bigarray.Array2.dim1 ys in
   let act = ws.bworking in
   (* descending with swap-remove, as in {!batch_guard}: ref-free so the

@@ -10,7 +10,10 @@ let[@inline] exponential g ~rate =
    polymorphic [ref] here would box the float on every iteration. *)
 type acc = { mutable prod : float }
 
-let erlang g ~k ~rate =
+(* Inlined like [exponential]: the simulator draws Erlang service and
+   transfer delays on its event path, and a float returned from a call
+   that is not inlined is boxed. *)
+let[@inline] erlang g ~k ~rate =
   (* lint: allow zero-alloc: cold stage-count guard, raises before the hot path *)
   if k <= 0 then invalid_arg "Dist.erlang: k must be positive";
   (* Product of uniforms needs a single log instead of k. *)
@@ -59,7 +62,7 @@ type service =
   | Erlang_stages of int
   | Hyperexp of { p : float; mean1 : float; mean2 : float }
 
-let hyperexp_mean p mean1 mean2 = (p *. mean1) +. ((1.0 -. p) *. mean2)
+let[@inline] hyperexp_mean p mean1 mean2 = (p *. mean1) +. ((1.0 -. p) *. mean2)
 
 let[@inline] service_mean_one g = function
   | Exponential -> exponential g ~rate:1.0

@@ -361,6 +361,64 @@ let test_typed_zero_alloc_cross_module () =
        (typed_diags ~roots:[ "Fixture.hot" ]
           [ a; b ~body:"let hot x = Alloclib.id x\n" ]))
 
+(* R5 boxing sites the Typedtree shows only through types: a Bigarray
+   accessor instantiated at a type-variable kind or layout (the generic
+   C stub boxes), and a call that returns a float from a function that
+   is not [@inline] (the return boxes) *)
+let test_typed_zero_alloc_poly_bigarray () =
+  let diags =
+    typed_lint ~roots:[ "Fixture.hot" ]
+      "let hot m i k = Bigarray.Array2.get m i k +. 1.0\n"
+  in
+  Alcotest.(check (list string)) "kind and layout left to inference"
+    [ "zero-alloc" ] (rules diags);
+  Alcotest.(check bool) "message names the accessor" true
+    (Engine.contains (List.hd diags).Diag.message "%caml_ba_ref_2");
+  check_typed "unsafe_set through an unannotated parameter" [ "zero-alloc" ]
+    ~roots:[ "Fixture.hot" ]
+    "let hot m i k = Bigarray.Array2.unsafe_set m i k 0.0\n";
+  check_typed "annotated matrix is monomorphic" [] ~roots:[ "Fixture.hot" ]
+    "type t = (float, Bigarray.float64_elt, Bigarray.c_layout) \
+     Bigarray.Array2.t\n\
+     let hot (m : t) i k = Bigarray.Array2.get m i k +. 1.0\n";
+  (* [hot] is generalised before [use] instantiates it, so it stays the
+     generic accessor — exactly why an .mli type does not help *)
+  check_typed "a typed caller does not fix the kind" [ "zero-alloc" ]
+    ~roots:[ "Fixture.hot" ]
+    "let hot m i = Bigarray.Array1.unsafe_get m i +. 1.0\n\
+     let use (v : (float, Bigarray.float64_elt, Bigarray.c_layout) \
+     Bigarray.Array1.t) = hot v 0\n"
+
+let test_typed_zero_alloc_float_return () =
+  let diags =
+    typed_lint ~roots:[ "Fixture.hot" ]
+      "let half x = x *. 0.5\nlet hot x = half x +. 1.0\n"
+  in
+  Alcotest.(check (list string)) "float returned from a plain call"
+    [ "zero-alloc" ] (rules diags);
+  let d = List.hd diags in
+  Alcotest.(check int) "reported at the call" 2 d.Diag.line;
+  Alcotest.(check bool) "message names the callee" true
+    (Engine.contains d.Diag.message "Fixture.half is not [@inline]");
+  check_typed "[@inline] callee" [] ~roots:[ "Fixture.hot" ]
+    "let[@inline] half x = x *. 0.5\nlet hot x = half x +. 1.0\n";
+  check_typed "[@inline never] still boxes" [ "zero-alloc" ]
+    ~roots:[ "Fixture.hot" ]
+    "let[@inline never] half x = x *. 0.5\nlet hot x = half x +. 1.0\n";
+  check_typed "an int result is never boxed" [] ~roots:[ "Fixture.hot" ]
+    "let twice x = x * 2\nlet hot x = twice x + 1\n"
+
+let test_typed_zero_alloc_boxing_suppression () =
+  check_typed "site-level allow on the boxing call" []
+    ~roots:[ "Fixture.hot" ]
+    "let half x = x *. 0.5\n\
+     let hot x = half x +. 1.0 (* lint: allow zero-alloc: one box per call, \
+     measured cold *)\n";
+  check_typed "site-level allow on the generic accessor" []
+    ~roots:[ "Fixture.hot" ]
+    "(* lint: allow zero-alloc: generic on purpose, runs once per solve *)\n\
+     let hot m i k = Bigarray.Array2.get m i k +. 1.0\n"
+
 (* R6 spsc-ownership: a self-contained mini shard protocol *)
 let spsc_prelude =
   "module Mailbox = struct\n\
@@ -528,6 +586,12 @@ let () =
             test_typed_zero_alloc_stale_root;
           Alcotest.test_case "cross-module reachability" `Quick
             test_typed_zero_alloc_cross_module;
+          Alcotest.test_case "polymorphic Bigarray access" `Quick
+            test_typed_zero_alloc_poly_bigarray;
+          Alcotest.test_case "float returned by a non-inline call" `Quick
+            test_typed_zero_alloc_float_return;
+          Alcotest.test_case "boxing sites suppressed" `Quick
+            test_typed_zero_alloc_boxing_suppression;
         ] );
       ( "spsc-ownership",
         [

@@ -10,8 +10,13 @@
      construction, array literals, ref cells, partial application,
      allocating external calls, float stores into mixed records (the
      store boxes), floats passed to polymorphic min/max (the call
-     boxes). Format strings need no special case: the elaborated
-     CamlinternalFormat constructors are ordinary construct sites.
+     boxes), Bigarray accesses whose kind or layout is a type variable
+     (the generic accessor boxes). Format strings need no special
+     case: the elaborated CamlinternalFormat constructors are ordinary
+     construct sites. A call edge also records whether the call returns
+     a float, and every function whether it is [@inline]: without
+     flambda a float returned from a call that is not inlined is boxed,
+     so such an edge is a site of the caller.
    - check: depth-first reachability from the configured hot-path
      roots over the cross-module call graph. Reached sites are
      reported at their own file:line (so ordinary line suppression
@@ -28,11 +33,18 @@
 
 type site = { sloc : Location.t; what : string }
 
+type call = {
+  callee : string;
+  cloc : Location.t;
+  returns_float : bool;  (* the application's result is a bare float *)
+}
+
 type summary = {
   name : string;  (* canonical "Module.fn" *)
   def_loc : Location.t;  (* binding site, for function-level allow *)
+  inline : bool;  (* [@inline] / [@inline always] on the binding *)
   sites : site list;
-  calls : (string * Location.t) list;
+  calls : call list;
 }
 
 let loc_file (loc : Location.t) = loc.loc_start.pos_fname
@@ -61,11 +73,36 @@ let float_label (lbl : Types.label_description) =
   Tutil.is_unboxed_float lbl.lbl_arg
   && match lbl.lbl_repres with Record_float -> false | _ -> true
 
+(* [let[@inline] f ...] or [let f = fun[@inline] ...]; an explicit
+   [@inline never] does not count. *)
+let inline_attr (attrs : Parsetree.attributes) =
+  List.exists
+    (fun (a : Parsetree.attribute) ->
+      match a.attr_name.txt with
+      | "inline" | "ocaml.inline" -> (
+          match a.attr_payload with
+          | PStr [] -> true
+          | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> (
+              match e.pexp_desc with
+              | Pexp_ident { txt = Lident "always"; _ } -> true
+              | _ -> false)
+          | _ -> false)
+      | _ -> false)
+    attrs
+
 let classify_apply ~current_module ~locals (f : Typedtree.expression) args =
   match Tutil.prim_of f with
   | Some p ->
       if List.mem p.prim_name Config.allocating_builtins then
         `Site ("allocating builtin " ^ p.prim_name ^ " (ref cell)")
+      else if
+        Tutil.is_bigarray_access p.prim_name
+        && Tutil.bigarray_access_polymorphic f.exp_type
+      then
+        `Site
+          ("polymorphic Bigarray access " ^ p.prim_name
+         ^ ": the kind or layout is a type variable, so the generic \
+            accessor boxes every element; annotate the array's type")
       else if String.length p.prim_name > 0 && p.prim_name.[0] = '%' then
         `Ok (* compiler builtin, unboxed/immediate *)
       else if p.prim_alloc then
@@ -123,7 +160,14 @@ let collect_body ~current_module ~locals body =
         (match classify_apply ~current_module ~locals f args with
         | `Ok | `Indirect -> ()
         | `Site what -> site e.exp_loc what
-        | `Call callee -> calls := (callee, e.exp_loc) :: !calls);
+        | `Call callee ->
+            calls :=
+              {
+                callee;
+                cloc = e.exp_loc;
+                returns_float = Tutil.is_unboxed_float e.exp_type;
+              }
+              :: !calls);
         if Tutil.is_arrow e.exp_type then
           site e.exp_loc "partial application allocates a closure")
     | _ -> ());
@@ -175,6 +219,9 @@ let summarize ~modname (str : Typedtree.structure) =
                       {
                         name = current_module ^ "." ^ Ident.name id;
                         def_loc = vb.vb_loc;
+                        inline =
+                          inline_attr vb.vb_attributes
+                          || inline_attr vb.vb_expr.exp_attributes;
                         sites;
                         calls;
                       }
@@ -244,19 +291,31 @@ let check ?(allowed = fun ~file:_ ~line:_ -> false) ~roots table =
           in
           if not waived then List.iter (report root chain) s.sites;
           List.iter
-            (fun (callee, cloc) ->
-              if Hashtbl.mem table callee then dfs root chain callee
-              else if not waived then
-                (* an unresolved callee is a local site of this
-                   function, so the function-level allow covers it *)
-                report root chain
-                  {
-                    sloc = cloc;
-                    what =
-                      "call to " ^ callee
-                      ^ " (no summary in the scanned units; assumed \
-                         allocating)";
-                  })
+            (fun { callee; cloc; returns_float } ->
+              match Hashtbl.find_opt table callee with
+              | Some c ->
+                  if returns_float && (not c.inline) && not waived then
+                    report root chain
+                      {
+                        sloc = cloc;
+                        what =
+                          "call to " ^ callee
+                          ^ " returns a boxed float (" ^ callee
+                          ^ " is not [@inline])";
+                      };
+                  dfs root chain callee
+              | None ->
+                  if not waived then
+                    (* an unresolved callee is a local site of this
+                       function, so the function-level allow covers it *)
+                    report root chain
+                      {
+                        sloc = cloc;
+                        what =
+                          "call to " ^ callee
+                          ^ " (no summary in the scanned units; assumed \
+                             allocating)";
+                      })
             s.calls
     end
   in

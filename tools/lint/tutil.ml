@@ -76,6 +76,34 @@ let rec is_float ty =
 let is_arrow ty =
   match Types.get_desc ty with Tarrow _ -> true | _ -> false
 
+let is_type_var ty =
+  match Types.get_desc ty with Tvar _ | Tunivar _ -> true | _ -> false
+
+(* Bigarray element accessors ([ArrayN.get] / [set] and their unsafe
+   variants, also what the [.{ }] syntax expands to). *)
+let is_bigarray_access prim_name =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix prim_name)
+    [
+      "%caml_ba_ref_";
+      "%caml_ba_set_";
+      "%caml_ba_unsafe_ref_";
+      "%caml_ba_unsafe_set_";
+    ]
+
+(* [ty] is an accessor's instantiated type, whose first parameter is
+   [(elt, kind, layout) ArrayN.t]. When the kind or the layout is still
+   a type variable, the compiler cannot specialise the access and calls
+   the generic C stub, which boxes every element it reads or writes. *)
+let bigarray_access_polymorphic ty =
+  match Types.get_desc ty with
+  | Tarrow (_, arg, _, _) -> (
+      match Types.get_desc arg with
+      | Tconstr (_, [ _; kind; layout ], _) ->
+          is_type_var kind || is_type_var layout
+      | _ -> false)
+  | _ -> false
+
 (* Does the type name [Mailbox.t] (any library prefix)? *)
 let is_mailbox_type ty =
   match Types.get_desc ty with
