@@ -1,9 +1,11 @@
 (* loadsteal-serve — the fixed-point prediction service.
 
    Subcommands:
-     daemon   listen on a unix socket; one thread per connection,
-              newline-delimited JSON in, newline-delimited JSON out,
-              the domain pool reserved for batch solve fan-out
+     daemon   listen on a unix socket; each connection is a thread hosted
+              on the pool domain with the fewest live connections
+              (Serve.Conn's bounded loop: newline-delimited JSON in,
+              newline-delimited JSON out), so concurrent clients' solves
+              run in parallel; the same domains run batch solve fan-out
      replay   connect to a daemon, replay a deterministic Workload
               stream, measure latency quantiles (P²) and enforce
               hit-rate / residual floors — the CI smoke client *)
@@ -13,41 +15,6 @@ open Cmdliner
 let default_socket = "/tmp/loadsteal-serve.sock"
 
 (* ---------- daemon ---------- *)
-
-let handle_conn server pool scheduler conn =
-  let ic = Unix.in_channel_of_descr conn in
-  let oc = Unix.out_channel_of_descr conn in
-  (* Every request line gets a response, no matter what: an exception
-     Protocol does not map itself becomes ok:false instead of silently
-     hanging the client. *)
-  let respond line =
-    match Serve.Protocol.handle_line ~pool ?scheduler server line with
-    | response -> response
-    | exception e ->
-        Serve.Wire.to_string
-          (Serve.Wire.Obj
-             [
-               ("ok", Serve.Wire.Bool false);
-               ( "error",
-                 Serve.Wire.Str ("internal error: " ^ Printexc.to_string e)
-               );
-             ])
-  in
-  let rec loop () =
-    match input_line ic with
-    | line ->
-        if not (String.equal (String.trim line) "") then begin
-          output_string oc (respond line);
-          output_char oc '\n';
-          flush oc
-        end;
-        loop ()
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
-    (fun () -> try loop () with Unix.Unix_error _ -> ())
 
 let run_daemon socket accept_n domains shards depth tol interp_gap
     guard_factor window_ms =
@@ -73,6 +40,23 @@ let run_daemon socket accept_n domains shards depth tol interp_gap
     else None
   in
   let pool = Parallel.Pool.create ~domains in
+  (* Every domain that serves connections gets 1/N of the startup minor
+     heap, so the daemon's young generation stays one default minor
+     heap. Gc.set resizes only the calling domain's heap, and in OCaml
+     5.1 a resize is a stop-the-world collection that also finishes the
+     major cycle, so each domain resizes once, when it starts sharing
+     the work: a worker when it first hosts a connection, the main
+     domain when the first connection goes to a worker. Until then the
+     main domain serves alone and its heap is the only young generation
+     in use, so start-up and a one-connection client pay no resize. *)
+  let minor_heap_words = (Gc.get ()).Gc.minor_heap_size / domains in
+  let resized = Domain.DLS.new_key (fun () -> false) in
+  let split_minor_heap () =
+    if not (Domain.DLS.get resized) then begin
+      Domain.DLS.set resized true;
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words }
+    end
+  in
   if Sys.file_exists socket then Sys.remove socket;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX socket);
@@ -80,46 +64,33 @@ let run_daemon socket accept_n domains shards depth tol interp_gap
   Printf.printf
     "loadsteal-serve: listening on %s (%d domains, %d shards, depth %d)\n%!"
     socket domains shards depth;
-  (* Each connection gets a dedicated (I/O-bound) thread; the pool only
-     ever holds bounded solve tasks from batch fan-out. Handlers must
-     NOT run as pool tasks: Pool.map's help loop pops any queued task,
-     so a handler serving a batch could pick up another connection's
-     handler and block in input_line until that client disconnects —
-     and concurrent connections would be capped at domains-1. [active]/
-     [drained] let the --accept N mode exit after the last handler
-     finishes rather than after the last accept. *)
-  let active = ref 0 in
-  let lock = Mutex.create () in
-  let drained = Condition.create () in
+  (* Each connection is a thread hosted on the pool domain with the
+     fewest live connections (Pool.host), not a pool task: Pool.map's
+     help loop pops any queued task, so a handler serving a batch could
+     pick up another connection's handler and block in its read until
+     that client disconnects. Pool.shutdown returns once every hosted
+     connection has ended, which is what the --accept N mode waits for
+     before it exits. *)
+  let conns = Serve.Conn.create ?scheduler ~pool server in
   let rec accept_loop accepted =
     if accept_n > 0 && accepted >= accept_n then ()
     else begin
       match Unix.accept fd with
       | conn, _ ->
-          Mutex.protect lock (fun () -> incr active);
-          ignore
-            (Thread.create
-               (fun () ->
-                 Fun.protect
-                   ~finally:(fun () ->
-                     Mutex.protect lock (fun () ->
-                         decr active;
-                         Condition.broadcast drained))
-                   (fun () -> handle_conn server pool scheduler conn))
-               ());
+          let domain =
+            Parallel.Pool.host pool (fun domain ->
+                if domain > 0 then split_minor_heap ();
+                Serve.Conn.serve conns ~domain conn)
+          in
+          if domain > 0 then split_minor_heap ();
           accept_loop (accepted + 1)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop accepted
     end
   in
   accept_loop 0;
-  Mutex.lock lock;
-  while !active > 0 do
-    Condition.wait drained lock
-  done;
-  Mutex.unlock lock;
+  Parallel.Pool.shutdown pool;
   Unix.close fd;
   (try Sys.remove socket with Sys_error _ -> ());
-  Parallel.Pool.shutdown pool;
   let s = Serve.Server.stats server in
   Printf.printf
     "loadsteal-serve: served %d (hit %d, interpolated %d, warm %d, cold %d)\n"
@@ -146,9 +117,15 @@ let daemon_cmd =
   in
   let domains =
     Arg.(
-      value & opt int 4
+      value
+      & opt int (Domain.recommended_domain_count ())
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Pool domains for batch solve fan-out.")
+          ~doc:
+            "Domains that host connections (each new connection goes to \
+             the one with the fewest live connections) and run batch \
+             solve fan-out. Once more than one domain serves, each \
+             serving domain gets 1/$(docv) of the startup minor heap. \
+             Defaults to the machine's recommended domain count.")
   in
   let dc = Serve.Server.default_config in
   let shards =
@@ -337,7 +314,7 @@ let run_replay socket n seed batch connections burst min_hit_rate max_residual
           (member_float k stats))
       [
         "batched_solves"; "batched_columns"; "sched_misses"; "sched_groups";
-        "sched_coalesced"; "sched_shared";
+        "sched_coalesced"; "sched_shared"; "serving_domains";
       ]
   in
   let report =

@@ -1,26 +1,46 @@
 type t = {
   size : int;  (* total domains incl. the caller *)
   queue : (unit -> unit) Queue.t;
+  inboxes : (unit -> unit) Queue.t array;
+      (* hosting requests addressed to worker [i]; index 0 stays empty,
+         the creating domain hosts with a plain Thread.create *)
+  hosted : int array;  (* live hosted threads per domain index *)
+  ended : Thread.t list array;
+      (* hosted threads of worker [i] whose body has returned; the
+         worker joins them before its domain may terminate *)
   mutex : Mutex.t;
   work_available : Condition.t;
+      (* also broadcast when a hosted thread ends: that is reaping work
+         for its worker and what [shutdown] waits for *)
   mutable closed : bool;
   mutable workers : unit Domain.t list;
 }
 
 let domains t = t.size
 
-(* Workers drain the queue until the pool is closed AND empty, so a
-   shutdown never drops queued tasks. *)
-let rec worker_loop pool =
+(* What a worker does next, in priority order: reap its ended hosted
+   threads, start the threads it was asked to host, run a shared task.
+   Its own inbox comes before the shared queue, and nothing but this
+   loop reads an inbox, so a help loop on another domain never starts a
+   hosting request. Workers drain the queue until the pool is closed
+   AND empty, so a shutdown never drops queued tasks. *)
+let rec worker_loop pool i =
   Mutex.lock pool.mutex;
   let rec next () =
-    if Queue.is_empty pool.queue then
-      if pool.closed then None
-      else begin
-        Condition.wait pool.work_available pool.mutex;
-        next ()
-      end
-    else Some (Queue.pop pool.queue)
+    match pool.ended.(i) with
+    | _ :: _ as ended ->
+        pool.ended.(i) <- [];
+        Some (fun () -> List.iter Thread.join ended)
+    | [] ->
+        if not (Queue.is_empty pool.inboxes.(i)) then
+          Some (Queue.pop pool.inboxes.(i))
+        else if not (Queue.is_empty pool.queue) then
+          Some (Queue.pop pool.queue)
+        else if pool.closed then None
+        else begin
+          Condition.wait pool.work_available pool.mutex;
+          next ()
+        end
   in
   let task = next () in
   Mutex.unlock pool.mutex;
@@ -28,7 +48,7 @@ let rec worker_loop pool =
   | None -> ()
   | Some run ->
       run ();
-      worker_loop pool
+      worker_loop pool i
 
 let create ~domains =
   if domains < 1 then invalid_arg "Pool.create: need domains >= 1";
@@ -36,6 +56,9 @@ let create ~domains =
     {
       size = domains;
       queue = Queue.create ();
+      inboxes = Array.init domains (fun _ -> Queue.create ());
+      hosted = Array.make domains 0;
+      ended = Array.make domains [];
       mutex = Mutex.create ();
       work_available = Condition.create ();
       closed = false;
@@ -43,11 +66,68 @@ let create ~domains =
     }
   in
   pool.workers <-
-    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
+    List.init (domains - 1) (fun i ->
+        Domain.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
+(* Lowest index among the domains with the fewest live hosted threads. *)
+let least_loaded hosted =
+  let best = ref 0 in
+  Array.iteri (fun i n -> if n < hosted.(!best) then best := i) hosted;
+  !best
+
+(* Gives domain [i]'s slot back; [join_me] leaves the calling thread
+   for its worker to join. *)
+let release pool i ~join_me =
+  Mutex.protect pool.mutex (fun () ->
+      pool.hosted.(i) <- pool.hosted.(i) - 1;
+      if join_me then pool.ended.(i) <- Thread.self () :: pool.ended.(i);
+      Condition.broadcast pool.work_available)
+
+let run_hosted pool i f ~join_me =
+  Fun.protect ~finally:(fun () -> release pool i ~join_me) (fun () -> f i)
+
+let host pool f =
+  Mutex.lock pool.mutex;
+  if pool.closed then begin
+    Mutex.unlock pool.mutex;
+    invalid_arg "Pool.host: pool is shut down"
+  end;
+  let i = least_loaded pool.hosted in
+  pool.hosted.(i) <- pool.hosted.(i) + 1;
+  if i > 0 then begin
+    (* A worker that cannot start a thread serves [f] itself rather
+       than drop the request. *)
+    Queue.push
+      (fun () ->
+        let run () = run_hosted pool i f ~join_me:true in
+        match Thread.create run () with
+        | _ -> ()
+        | exception _ -> run_hosted pool i f ~join_me:false)
+      pool.inboxes.(i);
+    Condition.broadcast pool.work_available;
+    Mutex.unlock pool.mutex;
+    i
+  end
+  else begin
+    Mutex.unlock pool.mutex;
+    match Thread.create (fun () -> run_hosted pool 0 f ~join_me:false) () with
+    | _ -> 0
+    | exception e ->
+        release pool 0 ~join_me:false;
+        raise e
+  end
+
+let hosted pool = Mutex.protect pool.mutex (fun () -> Array.copy pool.hosted)
+
+(* Hosted threads end before the workers are told to stop, so every
+   ended thread is on its worker's [ended] list when the worker sees
+   [closed], and is joined before the worker's domain terminates. *)
 let shutdown pool =
   Mutex.lock pool.mutex;
+  while Array.exists (fun n -> n > 0) pool.hosted do
+    Condition.wait pool.work_available pool.mutex
+  done;
   let workers = pool.workers in
   pool.closed <- true;
   pool.workers <- [];

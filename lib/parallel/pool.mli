@@ -57,10 +57,37 @@ val map_int : t -> (int -> 'a) -> int -> 'a array
     observed is re-raised after the batch drains.
     @raise Invalid_argument if [n < 0]. *)
 
+(** {1 Hosting threads}
+
+    A long-lived, mostly blocked job — a daemon's client connection —
+    must not run as a map task: a [map]'s help loop pops any queued
+    task, so it could end up blocked inside one. Instead the pool
+    {e hosts} it: a systhread created inside a chosen pool domain,
+    sharing that domain's runtime with its worker loop. Concurrent
+    hosted threads on different domains run in parallel, and each can
+    call [map] on the same pool. *)
+
+val host : t -> (int -> unit) -> int
+(** [host pool f] starts a thread that runs [f i] on pool domain [i],
+    and returns [i]: the domain with the fewest live hosted threads,
+    ties going to the lowest index. Index 0 is the domain that created
+    the pool, and [host] must be called from it; there [f] runs on a
+    thread created by the caller. Index [i > 0] is a worker: the
+    request waits in that worker's own inbox, which the worker drains
+    before the shared task queue, so the thread is always created on
+    that worker's domain and never by a help loop elsewhere. A size-1
+    pool hosts everything on the caller's domain. Returns without
+    waiting for [f].
+    @raise Invalid_argument if the pool is shut down. *)
+
+val hosted : t -> int array
+(** Live hosted threads per domain index, as a snapshot. *)
+
 val shutdown : t -> unit
-(** Terminate the workers (after any queued tasks finish) and join
-    them. Only call when no map is in flight; further maps on the pool
-    raise [Invalid_argument]. Idempotent. *)
+(** Wait until every hosted thread has ended, then terminate the
+    workers (after any queued tasks finish) and join them. Only call
+    when no map is in flight, and not from a hosted thread; further
+    maps and hosts on the pool raise [Invalid_argument]. Idempotent. *)
 
 (** {1 Default pool}
 

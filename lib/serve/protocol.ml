@@ -95,7 +95,7 @@ let answer_json (q : query) (a : Server.answer) =
   in
   Wire.Obj (base @ tail)
 
-let stats_json ?scheduler (s : Server.stats) =
+let stats_json ?scheduler ?domain_requests (s : Server.stats) =
   let c = s.Server.cache in
   let num i = Wire.Num (float_of_int i) in
   let served = s.Server.hit + s.Server.interpolated + s.Server.warm + s.Server.cold in
@@ -110,6 +110,19 @@ let stats_json ?scheduler (s : Server.stats) =
           ("sched_groups", num st.Scheduler.groups_run);
           ("sched_coalesced", num st.Scheduler.coalesced);
           ("sched_shared", num st.Scheduler.shared);
+        ]
+  in
+  let domains =
+    match domain_requests with
+    | None -> []
+    | Some requests ->
+        let counts = requests () in
+        [
+          ("domain_requests", Wire.Arr (Array.to_list (Array.map num counts)));
+          ( "serving_domains",
+            num
+              (Array.fold_left (fun k n -> if n > 0 then k + 1 else k) 0 counts)
+          );
         ]
   in
   Wire.Obj
@@ -137,14 +150,15 @@ let stats_json ?scheduler (s : Server.stats) =
        ("cache_misses", num c.Cache.misses);
        ("cache_insertions", num c.Cache.insertions);
      ]
-    @ sched)
+    @ sched @ domains)
 
-let handle_value ?pool ?scheduler server v =
+let handle_value ?pool ?scheduler ?domain_requests server v =
   let depth = (Server.config server).Server.depth in
   match v with
   | Wire.Obj _ when Wire.member "op" v <> None -> (
       match Option.map Wire.to_str (Wire.member "op" v) with
-      | Some (Some "stats") -> stats_json ?scheduler (Server.stats server)
+      | Some (Some "stats") ->
+          stats_json ?scheduler ?domain_requests (Server.stats server)
       | Some (Some "ping") -> Wire.Obj [ ("ok", Wire.Bool true) ]
       | Some (Some op) -> error "unknown op %S" op
       | _ -> error "\"op\" must be a string")
@@ -190,10 +204,10 @@ let handle_value ?pool ?scheduler server v =
       | exception Invalid_argument msg -> error "%s" msg)
   | _ -> error "request must be an object or an array of objects"
 
-let handle_line ?pool ?scheduler server line =
+let handle_line ?pool ?scheduler ?domain_requests server line =
   let response =
     match Wire.of_string line with
-    | v -> handle_value ?pool ?scheduler server v
+    | v -> handle_value ?pool ?scheduler ?domain_requests server v
     | exception Wire.Parse_error msg -> error "parse error: %s" msg
   in
   Wire.to_string response

@@ -13,7 +13,9 @@
       families fan out over the pool. The response is an array in
       request order.
     - [{"op": "stats"}] — counters (including the miss scheduler's when
-      one is installed); [{"op": "ping"}] — liveness.
+      one is installed, and the requests each serving domain answered
+      when the caller passes [domain_requests]); [{"op": "ping"}] —
+      liveness.
 
     Every failure (parse error, unknown model or parameter, model
     domain violation) maps to [{"ok": false, "error": …}] — on the
@@ -21,16 +23,27 @@
     connection. *)
 
 val handle_line :
-  ?pool:Parallel.Pool.t -> ?scheduler:Scheduler.t -> Server.t -> string ->
+  ?pool:Parallel.Pool.t ->
+  ?scheduler:Scheduler.t ->
+  ?domain_requests:(unit -> int array) ->
+  Server.t ->
+  string ->
   string
 (** [handle_line server line] parses one request line and returns the
     response line (without trailing newline). Never raises on malformed
     input. With [scheduler], single-query misses are coalesced across
     concurrent callers ({!Scheduler.answer}); the scheduler must wrap
-    the same server. *)
+    the same server. [domain_requests] gives the requests answered so
+    far per serving domain: [stats] reports them as
+    ["domain_requests"], and the domains with at least one as
+    ["serving_domains"]. *)
 
 val handle_value :
-  ?pool:Parallel.Pool.t -> ?scheduler:Scheduler.t -> Server.t -> Wire.t ->
+  ?pool:Parallel.Pool.t ->
+  ?scheduler:Scheduler.t ->
+  ?domain_requests:(unit -> int array) ->
+  Server.t ->
+  Wire.t ->
   Wire.t
 (** Same, on already-parsed values — the in-process path the bench
     kernel uses to measure protocol cost without socket noise. *)

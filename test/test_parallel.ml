@@ -115,6 +115,179 @@ let qcheck_pool_map_is_map =
           Parallel.Pool.map pool (fun x -> (3 * x) - 1) xs
           = List.map (fun x -> (3 * x) - 1) xs))
 
+(* ---------- hosted threads ---------- *)
+
+(* Poll [pred] every millisecond; fail after about [ticks] polls, so a
+   deadlock fails the test instead of hanging it. *)
+let wait_for ?(ticks = 30_000) what pred =
+  let rec go k =
+    if not (pred ()) then begin
+      if k = 0 then Alcotest.failf "timed out waiting for %s" what;
+      Thread.delay 0.001;
+      go (k - 1)
+    end
+  in
+  go ticks
+
+let hosted_is pool expected () = Parallel.Pool.hosted pool = expected
+
+type seen = { lock : Mutex.t; mutable at : (int * int) list }
+
+let seen () = { lock = Mutex.create (); at = [] }
+let seen_list s = Mutex.protect s.lock (fun () -> List.rev s.at)
+
+(* Host a thread that records its domain index and [Domain.self ()],
+   then blocks until [release] is set; returns the index [host] chose. *)
+let host_blocked pool seen release =
+  Parallel.Pool.host pool (fun i ->
+      Mutex.protect seen.lock (fun () ->
+          seen.at <- (i, (Domain.self () :> int)) :: seen.at);
+      wait_for "release" (fun () -> Atomic.get release))
+
+let test_host_distinct_domains () =
+  with_pool ~domains:3 (fun pool ->
+      let s = seen () and release = Atomic.make false in
+      let placed = List.init 3 (fun _ -> host_blocked pool s release) in
+      Alcotest.(check (list int)) "placed" [ 0; 1; 2 ] placed;
+      wait_for "three hosted threads" (fun () -> List.length (seen_list s) = 3);
+      Atomic.set release true;
+      let at =
+        List.sort (fun (i, _) (j, _) -> Int.compare i j) (seen_list s)
+      in
+      Alcotest.(check (list int)) "indices" [ 0; 1; 2 ] (List.map fst at);
+      Alcotest.(check int) "distinct domains" 3
+        (List.length (List.sort_uniq Int.compare (List.map snd at)));
+      Alcotest.(check int) "index 0 is the caller's domain"
+        (Domain.self () :> int)
+        (List.assoc 0 at);
+      wait_for "hosted threads to end" (hosted_is pool [| 0; 0; 0 |]))
+
+let test_host_least_loaded () =
+  with_pool ~domains:3 (fun pool ->
+      let s = seen () in
+      let releases = Array.init 4 (fun _ -> Atomic.make false) in
+      Fun.protect
+        ~finally:(fun () -> Array.iter (fun r -> Atomic.set r true) releases)
+        (fun () ->
+          Alcotest.(check int) "ties go to the lowest index" 0
+            (host_blocked pool s releases.(0));
+          Alcotest.(check (array int)) "one hosted" [| 1; 0; 0 |]
+            (Parallel.Pool.hosted pool);
+          for k = 1 to 2 do
+            ignore (host_blocked pool s releases.(k))
+          done;
+          Alcotest.(check (array int)) "one each" [| 1; 1; 1 |]
+            (Parallel.Pool.hosted pool);
+          wait_for "three hosted threads" (fun () ->
+              List.length (seen_list s) = 3);
+          Atomic.set releases.(1) true;
+          wait_for "domain 1 to empty" (hosted_is pool [| 1; 0; 1 |]);
+          Alcotest.(check int) "placed on the emptied domain" 1
+            (host_blocked pool s releases.(3));
+          Alcotest.(check (array int)) "refilled the idle domain"
+            [| 1; 1; 1 |] (Parallel.Pool.hosted pool);
+          wait_for "the fourth thread" (fun () ->
+              List.length (seen_list s) = 4);
+          let at = seen_list s in
+          Alcotest.(check int) "fourth thread on index 1" 1
+            (fst (List.nth at 3));
+          Alcotest.(check int) "on the same domain as the one that left"
+            (List.assoc 1 at)
+            (snd (List.nth at 3)));
+      wait_for "hosted threads to end" (hosted_is pool [| 0; 0; 0 |]))
+
+let test_host_maps_on_own_pool () =
+  (* each hosted thread shares its domain with a worker loop (or with
+     the caller); a map from it must still finish *)
+  with_pool ~domains:2 (fun pool ->
+      let results = Array.make 2 [] in
+      let lock = Mutex.create () in
+      let placed =
+        List.init 2 (fun _ ->
+            Parallel.Pool.host pool (fun i ->
+                let rows =
+                  Parallel.Pool.map pool
+                    (fun x ->
+                      List.fold_left ( + ) 0
+                        (Parallel.Pool.map pool (fun y -> x * y) [ 1; 2; 3 ]))
+                    (List.init 20 Fun.id)
+                in
+                Mutex.protect lock (fun () -> results.(i) <- rows)))
+      in
+      Alcotest.(check (list int)) "one per domain" [ 0; 1 ] placed;
+      wait_for "both hosted maps" (hosted_is pool [| 0; 0 |]);
+      let expected = List.init 20 (fun x -> 6 * x) in
+      Array.iteri
+        (fun i rows ->
+          Alcotest.(check (list int)) (Printf.sprintf "domain %d" i) expected
+            rows)
+        (Mutex.protect lock (fun () -> Array.copy results)))
+
+let test_host_not_started_by_help () =
+  (* domain 0 keeps a help loop busy popping shared tasks while hosting
+     requests go to domain 1: none may start on domain 0 *)
+  with_pool ~domains:2 (fun pool ->
+      let stop = Atomic.make false in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set stop true)
+        (fun () ->
+          let helper =
+            Parallel.Pool.host pool (fun _ ->
+                while not (Atomic.get stop) do
+                  ignore
+                    (Parallel.Pool.map pool (fun x -> x + 1)
+                       (List.init 64 Fun.id))
+                done)
+          in
+          Alcotest.(check int) "helper on domain 0" 0 helper;
+          let s = seen () and release = Atomic.make true in
+          for _ = 1 to 10 do
+            wait_for "domain 1 to empty" (hosted_is pool [| 1; 0 |]);
+            Alcotest.(check int) "placed on domain 1" 1
+              (host_blocked pool s release)
+          done;
+          wait_for "domain 1 to empty" (hosted_is pool [| 1; 0 |]);
+          let at = seen_list s in
+          Alcotest.(check int) "ten hosted" 10 (List.length at);
+          List.iter
+            (fun (i, d) ->
+              Alcotest.(check int) "index" 1 i;
+              Alcotest.(check bool) "not the caller's domain" true
+                (d <> (Domain.self () :> int)))
+            at);
+      wait_for "the helper to end" (hosted_is pool [| 0; 0 |]))
+
+let test_host_size_one () =
+  with_pool ~domains:1 (fun pool ->
+      let s = seen () and release = Atomic.make true in
+      Alcotest.(check (list int)) "placed" [ 0; 0 ]
+        (List.init 2 (fun _ -> host_blocked pool s release));
+      wait_for "hosted threads to end" (hosted_is pool [| 0 |]);
+      Alcotest.(check (list (pair int int)))
+        "both on the caller's domain"
+        (List.init 2 (fun _ -> (0, (Domain.self () :> int))))
+        (seen_list s))
+
+let test_shutdown_waits_for_hosted () =
+  List.iter
+    (fun domains ->
+      let pool = Parallel.Pool.create ~domains in
+      let finished = Atomic.make 0 in
+      for _ = 1 to 3 do
+        ignore
+          (Parallel.Pool.host pool (fun _ ->
+               Thread.delay 0.1;
+               Atomic.incr finished))
+      done;
+      Parallel.Pool.shutdown pool;
+      Alcotest.(check int)
+        (Printf.sprintf "every hosted thread ended first, %d domains" domains)
+        3 (Atomic.get finished);
+      Alcotest.check_raises "rejects"
+        (Invalid_argument "Pool.host: pool is shut down") (fun () ->
+          ignore (Parallel.Pool.host pool ignore)))
+    [ 1; 2 ]
+
 (* ---------- serial = parallel for the replication protocol ---------- *)
 
 (* Bit-identical comparison, NaN-reflexive: short or empty measurement
@@ -243,6 +416,20 @@ let () =
             test_shutdown_rejects_further_maps;
           Alcotest.test_case "default pool" `Quick test_default_pool;
           QCheck_alcotest.to_alcotest qcheck_pool_map_is_map;
+        ] );
+      ( "host",
+        [
+          Alcotest.test_case "distinct domains" `Quick
+            test_host_distinct_domains;
+          Alcotest.test_case "least-loaded placement" `Quick
+            test_host_least_loaded;
+          Alcotest.test_case "maps from hosted threads" `Quick
+            test_host_maps_on_own_pool;
+          Alcotest.test_case "never started by a help loop" `Quick
+            test_host_not_started_by_help;
+          Alcotest.test_case "size-1 pool" `Quick test_host_size_one;
+          Alcotest.test_case "shutdown waits" `Quick
+            test_shutdown_waits_for_hosted;
         ] );
       ( "determinism",
         [

@@ -553,6 +553,80 @@ let test_protocol_ops () =
   | Wire.Num n -> check_close 0.0 "one cold solve" 1.0 n
   | _ -> Alcotest.fail "cold is not a number"
 
+(* ---------- Conn ---------- *)
+
+(* The daemon's connection loop on one end of a socketpair, served by
+   its own thread the way Pool.host would run it; [finished] turns true
+   when [Conn.serve] returns. *)
+let with_conn f =
+  let t = Server.create () in
+  let pool = Parallel.Pool.create ~domains:1 in
+  let conns = Conn.create ~pool t in
+  let client, daemon = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let finished = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        Conn.serve conns ~domain:0 daemon;
+        Atomic.set finished true)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close client with Unix.Unix_error _ -> ());
+      Thread.join th;
+      Parallel.Pool.shutdown pool)
+    (fun () -> f client finished)
+
+let rec write_all fd b off len =
+  if len > 0 then begin
+    let k = Unix.write fd b off len in
+    write_all fd b (off + k) (len - k)
+  end
+
+let send fd s = write_all fd (Bytes.of_string s) 0 (String.length s)
+
+let test_conn_overlong_line () =
+  with_conn (fun client _ ->
+      let ic = Unix.in_channel_of_descr client in
+      send client (String.make (Conn.max_line + 1) 'x' ^ "\n");
+      send client "{\"op\": \"ping\"}\n{\"op\": \"stats\"}\n";
+      let too_long = Wire.of_string (input_line ic) in
+      Alcotest.(check bool) "over-long line fails" false (ok too_long);
+      (match member_exn too_long "error" with
+      | Wire.Str e ->
+          Alcotest.(check bool) ("names the limit: " ^ e) true
+            (String.starts_with ~prefix:"request line longer than" e)
+      | _ -> Alcotest.fail "error is not a string");
+      Alcotest.(check bool) "next ping ok" true
+        (ok (Wire.of_string (input_line ic)));
+      let stats = Wire.of_string (input_line ic) in
+      (match member_exn stats "domain_requests" with
+      | Wire.Arr [ Wire.Num n ] ->
+          check_close 0.0 "two answered before stats" 2.0 n
+      | v -> Alcotest.failf "domain_requests: %s" (Wire.to_string v));
+      match member_exn stats "serving_domains" with
+      | Wire.Num n -> check_close 0.0 "one serving domain" 1.0 n
+      | _ -> Alcotest.fail "serving_domains is not a number")
+
+let test_conn_close_mid_line () =
+  with_conn (fun client finished ->
+      send client "{\"op\": \"ping\"}\n{\"op\":";
+      let ic = Unix.in_channel_of_descr client in
+      Alcotest.(check bool) "complete line answered" true
+        (ok (Wire.of_string (input_line ic)));
+      Unix.shutdown client Unix.SHUTDOWN_SEND;
+      let rec wait k =
+        if not (Atomic.get finished) then begin
+          if k = 0 then Alcotest.fail "handler still running";
+          Thread.delay 0.001;
+          wait (k - 1)
+        end
+      in
+      wait 30_000;
+      Alcotest.check_raises "no answer to the partial line" End_of_file
+        (fun () -> ignore (input_line ic)))
+
 (* ---------- Workload ---------- *)
 
 let test_workload_deterministic () =
@@ -792,6 +866,11 @@ let () =
             test_protocol_errors_stay_on_the_line;
           Alcotest.test_case "mixed batch" `Quick test_protocol_batch_mixed;
           Alcotest.test_case "ops" `Quick test_protocol_ops;
+        ] );
+      ( "conn",
+        [
+          Alcotest.test_case "over-long line" `Quick test_conn_overlong_line;
+          Alcotest.test_case "close mid-line" `Quick test_conn_close_mid_line;
         ] );
       ( "workload",
         [
