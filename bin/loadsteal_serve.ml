@@ -5,7 +5,9 @@
               on the pool domain with the fewest live connections
               (Serve.Conn's bounded loop: newline-delimited JSON in,
               newline-delimited JSON out), so concurrent clients' solves
-              run in parallel; the same domains run batch solve fan-out
+              run in parallel and a single query is answered on the
+              domain that hosts its connection; the same domains run
+              batch solve fan-out
      replay   connect to a daemon, replay a deterministic Workload
               stream, measure latency quantiles (P²) and enforce
               hit-rate / residual floors — the CI smoke client *)
@@ -16,29 +18,22 @@ let default_socket = "/tmp/loadsteal-serve.sock"
 
 (* ---------- daemon ---------- *)
 
-let run_daemon socket accept_n domains shards depth tol interp_gap
-    guard_factor window_ms =
+(* A socket left by an earlier daemon is replaced; anything else at the
+   path is someone's file, and the daemon refuses to start rather than
+   delete it. *)
+let claim_socket_path socket =
+  match Unix.lstat socket with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink socket
+  | _ -> failwith (Printf.sprintf "daemon: %s exists and is not a socket" socket)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let run_daemon socket accept_n domains =
+  (* Checked before the socket path is claimed, so a bad flag touches
+     no file. *)
+  if domains < 1 then invalid_arg "daemon: --domains must be >= 1";
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  let config =
-    {
-      Serve.Server.default_config with
-      shards;
-      depth;
-      tol;
-      interp_gap;
-      guard_factor;
-    }
-  in
-  let server = Serve.Server.create ~config () in
-  (* Miss scheduler: single-query misses from concurrent connections
-     coalesce into one lockstep solve per family, waiting up to the
-     window for companions. Off (no scheduler at all) when the window
-     is zero, so the single-connection replay path is untouched. *)
-  let scheduler =
-    if window_ms > 0.0 then
-      Some (Serve.Scheduler.create ~window:(window_ms /. 1e3) server)
-    else None
-  in
+  claim_socket_path socket;
+  let server = Serve.Server.create () in
   let pool = Parallel.Pool.create ~domains in
   (* Every domain that serves connections gets 1/N of the startup minor
      heap, so the daemon's young generation stays one default minor
@@ -57,13 +52,13 @@ let run_daemon socket accept_n domains shards depth tol interp_gap
       Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words }
     end
   in
-  if Sys.file_exists socket then Sys.remove socket;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX socket);
   Unix.listen fd 64;
+  let dc = Serve.Server.default_config in
   Printf.printf
     "loadsteal-serve: listening on %s (%d domains, %d shards, depth %d)\n%!"
-    socket domains shards depth;
+    socket domains dc.Serve.Server.shards dc.Serve.Server.depth;
   (* Each connection is a thread hosted on the pool domain with the
      fewest live connections (Pool.host), not a pool task: Pool.map's
      help loop pops any queued task, so a handler serving a batch could
@@ -71,7 +66,7 @@ let run_daemon socket accept_n domains shards depth tol interp_gap
      that client disconnects. Pool.shutdown returns once every hosted
      connection has ended, which is what the --accept N mode waits for
      before it exits. *)
-  let conns = Serve.Conn.create ?scheduler ~pool server in
+  let conns = Serve.Conn.create ~pool server in
   let rec accept_loop accepted =
     if accept_n > 0 && accepted >= accept_n then ()
     else begin
@@ -127,78 +122,24 @@ let daemon_cmd =
              serving domain gets 1/$(docv) of the startup minor heap. \
              Defaults to the machine's recommended domain count.")
   in
-  let dc = Serve.Server.default_config in
-  let shards =
-    Arg.(
-      value
-      & opt int dc.Serve.Server.shards
-      & info [ "shards" ] ~docv:"N" ~doc:"Cache stripes.")
-  in
-  let depth =
-    Arg.(
-      value
-      & opt int dc.Serve.Server.depth
-      & info [ "depth" ] ~docv:"N" ~doc:"Pinned truncation depth.")
-  in
-  let tol =
-    Arg.(
-      value
-      & opt float dc.Serve.Server.tol
-      & info [ "tol" ] ~docv:"TOL" ~doc:"Solver residual tolerance.")
-  in
-  let interp_gap =
-    Arg.(
-      value
-      & opt float dc.Serve.Server.interp_gap
-      & info [ "interp-gap" ] ~docv:"W"
-          ~doc:"Maximum λ gap eligible for sub-grid interpolation.")
-  in
-  let guard =
-    Arg.(
-      value
-      & opt float dc.Serve.Server.guard_factor
-      & info [ "guard-factor" ] ~docv:"G"
-          ~doc:"Interpolation residual guard: accept iff residual ≤ tol·G.")
-  in
-  let window =
-    Arg.(
-      value & opt float 0.0
-      & info [ "window" ] ~docv:"MS"
-          ~doc:
-            "Miss-coalescing window in milliseconds: single-query misses \
-             from concurrent connections wait up to $(docv) and solve as \
-             one lockstep batch per family (0 = off).")
-  in
   Cmd.v (Cmd.info "daemon" ~doc)
-    Term.(
-      const run_daemon $ socket $ accept_n $ domains $ shards $ depth $ tol
-      $ interp_gap $ guard $ window)
+    Term.(const run_daemon $ socket $ accept_n $ domains)
 
 (* ---------- replay ---------- *)
-
-let rec split_at k xs =
-  if k = 0 then ([], xs)
-  else
-    match xs with
-    | [] -> ([], [])
-    | x :: rest ->
-        let a, b = split_at (k - 1) rest in
-        (x :: a, b)
 
 let member_float key v =
   match Option.map Serve.Wire.to_float (Serve.Wire.member key v) with
   | Some (Some f) -> Some f
   | _ -> None
 
-let run_replay socket n seed batch connections burst min_hit_rate max_residual
+let run_replay socket n seed connections burst min_hit_rate max_residual
     json_path =
-  if batch < 1 then invalid_arg "replay: --batch must be >= 1";
   if connections < 1 then invalid_arg "replay: --connections must be >= 1";
   let queries = Serve.Workload.stream ~seed ~burst_share:burst n in
   (* Round-robin deal across connections: a burst's consecutive
      same-family queries land on different lanes at roughly the same
-     instant — exactly the concurrent miss train the daemon's
-     coalescing window is built to batch. *)
+     instant, so concurrent misses of one family race on the daemon's
+     domains. *)
   let lanes = Array.make connections [] in
   List.iteri
     (fun i q -> lanes.(i mod connections) <- q :: lanes.(i mod connections))
@@ -243,29 +184,18 @@ let run_replay socket n seed batch connections burst min_hit_rate max_residual
     | _ -> incr errors
   in
   let drive_lane chan qs =
-    let rec drive = function
-      | [] -> ()
-      | qs ->
-          let head, rest = split_at batch qs in
-          let request =
-            match head with
-            | [ q ] when batch = 1 -> Serve.Workload.request_json q
-            | _ -> Serve.Wire.Arr (List.map Serve.Workload.request_json head)
-          in
-          let t_send = Monotonic_clock.now () in
-          let response = send_recv chan request in
-          let dt_us =
-            Int64.to_float (Int64.sub (Monotonic_clock.now ()) t_send) /. 1e3
-          in
-          Mutex.protect lock (fun () ->
-              Prob.P2_quantile.add p50 dt_us;
-              Prob.P2_quantile.add p99 dt_us;
-              match response with
-              | Serve.Wire.Arr rs -> List.iter check_response rs
-              | r -> check_response r);
-          drive rest
-    in
-    drive qs
+    List.iter
+      (fun q ->
+        let t_send = Monotonic_clock.now () in
+        let response = send_recv chan (Serve.Workload.request_json q) in
+        let dt_us =
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t_send) /. 1e3
+        in
+        Mutex.protect lock (fun () ->
+            Prob.P2_quantile.add p50 dt_us;
+            Prob.P2_quantile.add p99 dt_us;
+            check_response response))
+      qs
   in
   let t0 = Monotonic_clock.now () in
   (* Lane 0 runs on this thread and keeps its connection open for the
@@ -303,25 +233,21 @@ let run_replay socket n seed batch connections burst min_hit_rate max_residual
   let evals_per_miss =
     Option.value ~default:0.0 (member_float "evals_per_miss" stats)
   in
-  (* Forward the daemon-side batching counters so CI can assert the
-     coalesced path actually ran without a second stats connection
-     (the daemon may have exhausted --accept by then). *)
+  (* Forward the daemon's count of answered queries and of domains
+     that answered any, so CI can check both without a second stats
+     connection (the daemon may have exhausted --accept by then). *)
   let forwarded =
     List.filter_map
       (fun k ->
         Option.map
           (fun v -> (k, Serve.Wire.Num v))
           (member_float k stats))
-      [
-        "batched_solves"; "batched_columns"; "sched_misses"; "sched_groups";
-        "sched_coalesced"; "sched_shared"; "serving_domains";
-      ]
+      [ "served"; "serving_domains" ]
   in
   let report =
     Serve.Wire.Obj
       ([
         ("queries", Serve.Wire.Num (float_of_int n));
-        ("batch", Serve.Wire.Num (float_of_int batch));
         ("connections", Serve.Wire.Num (float_of_int connections));
         ("burst", Serve.Wire.Num burst);
         ("wall_seconds", Serve.Wire.Num wall);
@@ -380,20 +306,12 @@ let replay_cmd =
     Arg.(
       value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Stream seed.")
   in
-  let batch =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ] ~docv:"B"
-          ~doc:"Queries per request (1 = single-query objects; >1 = array \
-                batches). Latency quantiles are per request either way.")
-  in
   let connections =
     Arg.(
       value & opt int 1
       & info [ "connections" ] ~docv:"C"
           ~doc:"Concurrent client connections; queries are dealt \
-                round-robin across them. With the daemon's $(b,--window) \
-                this exercises cross-connection miss coalescing.")
+                round-robin across them.")
   in
   let burst =
     Arg.(
@@ -425,7 +343,7 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
-      const run_replay $ socket $ n $ seed $ batch $ connections $ burst
+      const run_replay $ socket $ n $ seed $ connections $ burst
       $ min_hit_rate $ max_residual $ json)
 
 let main_cmd =
@@ -434,4 +352,24 @@ let main_cmd =
     (Cmd.info "loadsteal_serve" ~version:"1.0.0" ~doc)
     [ daemon_cmd; replay_cmd ]
 
-let () = exit (Cmd.eval' main_cmd)
+(* Bad flag values reach validators that raise Invalid_argument, and a
+   daemon that cannot start raises Failure or, from the socket calls,
+   Unix_error: report each as one line with cmdliner's "some error" exit
+   code. Anything else is a bug and keeps cmdliner's internal-error
+   report. *)
+let () =
+  match Cmd.eval' ~catch:false main_cmd with
+  | code -> exit code
+  | exception (Invalid_argument reason | Failure reason) ->
+      Printf.eprintf "loadsteal_serve: %s\n%!" reason;
+      exit Cmd.Exit.some_error
+  | exception Unix.Unix_error (err, call, arg) ->
+      Printf.eprintf "loadsteal_serve: %s: %s\n%!"
+        (if String.equal arg "" then call else call ^ " " ^ arg)
+        (Unix.error_message err);
+      exit Cmd.Exit.some_error
+  | exception e ->
+      Printf.eprintf
+        "loadsteal_serve: internal error, uncaught exception: %s\n%!"
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

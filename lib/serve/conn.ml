@@ -4,26 +4,23 @@
    costs at most [max_line] bytes of buffer, not unbounded memory.
 
    Concurrency contract: a [t] is shared by every connection the daemon
-   hosts, on every pool domain. The server, pool and scheduler are
-   domain-safe on their own; the per-domain request tally is touched
-   only under [lock]. A line reader belongs to its connection's
-   thread. *)
+   hosts, on every pool domain. The server and pool are domain-safe on
+   their own; the per-domain request tally is touched only under
+   [lock]. A line reader belongs to its connection's thread. *)
 
 let max_line = 1 lsl 20
 
 type t = {
   server : Server.t;
   pool : Parallel.Pool.t;
-  scheduler : Scheduler.t option;
   lock : Mutex.t;
   answered : int array;  (* requests answered per pool domain index *)
 }
 
-let create ?scheduler ~pool server =
+let create ~pool server =
   {
     server;
     pool;
-    scheduler;
     lock = Mutex.create ();
     answered = Array.make (Parallel.Pool.domains pool) 0;
   }
@@ -89,7 +86,7 @@ let too_long =
    hanging the client. *)
 let respond t line =
   match
-    Protocol.handle_line ~pool:t.pool ?scheduler:t.scheduler
+    Protocol.handle_line ~pool:t.pool
       ~domain_requests:(fun () -> answered t)
       t.server line
   with

@@ -95,23 +95,11 @@ let answer_json (q : query) (a : Server.answer) =
   in
   Wire.Obj (base @ tail)
 
-let stats_json ?scheduler ?domain_requests (s : Server.stats) =
+let stats_json ?domain_requests (s : Server.stats) =
   let c = s.Server.cache in
   let num i = Wire.Num (float_of_int i) in
   let served = s.Server.hit + s.Server.interpolated + s.Server.warm + s.Server.cold in
   let misses = s.Server.warm + s.Server.cold in
-  let sched =
-    match scheduler with
-    | None -> []
-    | Some sch ->
-        let st = Scheduler.stats sch in
-        [
-          ("sched_misses", num st.Scheduler.scheduled);
-          ("sched_groups", num st.Scheduler.groups_run);
-          ("sched_coalesced", num st.Scheduler.coalesced);
-          ("sched_shared", num st.Scheduler.shared);
-        ]
-  in
   let domains =
     match domain_requests with
     | None -> []
@@ -150,15 +138,15 @@ let stats_json ?scheduler ?domain_requests (s : Server.stats) =
        ("cache_misses", num c.Cache.misses);
        ("cache_insertions", num c.Cache.insertions);
      ]
-    @ sched @ domains)
+    @ domains)
 
-let handle_value ?pool ?scheduler ?domain_requests server v =
+let handle_value ?pool ?domain_requests server v =
   let depth = (Server.config server).Server.depth in
   match v with
   | Wire.Obj _ when Wire.member "op" v <> None -> (
       match Option.map Wire.to_str (Wire.member "op" v) with
       | Some (Some "stats") ->
-          stats_json ?scheduler ?domain_requests (Server.stats server)
+          stats_json ?domain_requests (Server.stats server)
       | Some (Some "ping") -> Wire.Obj [ ("ok", Wire.Bool true) ]
       | Some (Some op) -> error "unknown op %S" op
       | _ -> error "\"op\" must be a string")
@@ -166,15 +154,7 @@ let handle_value ?pool ?scheduler ?domain_requests server v =
       match parse_query ~depth v with
       | Error e -> error "%s" e
       | Ok q -> (
-          let serve () =
-            (* Single-query misses go through the scheduler when one is
-               installed, so concurrent connections coalesce; batch
-               requests below already coalesce within the request. *)
-            match scheduler with
-            | Some sch -> Scheduler.answer sch q.fam q.lambda
-            | None -> Server.answer server q.fam q.lambda
-          in
-          match serve () with
+          match Server.answer server q.fam q.lambda with
           | a -> answer_json q a
           | exception Invalid_argument msg -> error "%s" msg))
   | Wire.Arr items -> (
@@ -204,10 +184,10 @@ let handle_value ?pool ?scheduler ?domain_requests server v =
       | exception Invalid_argument msg -> error "%s" msg)
   | _ -> error "request must be an object or an array of objects"
 
-let handle_line ?pool ?scheduler ?domain_requests server line =
+let handle_line ?pool ?domain_requests server line =
   let response =
     match Wire.of_string line with
-    | v -> handle_value ?pool ?scheduler ?domain_requests server v
+    | v -> handle_value ?pool ?domain_requests server v
     | exception Wire.Parse_error msg -> error "parse error: %s" msg
   in
   Wire.to_string response

@@ -12,10 +12,9 @@
       lockstep solve, duplicates are served single-flight, and distinct
       families fan out over the pool. The response is an array in
       request order.
-    - [{"op": "stats"}] — counters (including the miss scheduler's when
-      one is installed, and the requests each serving domain answered
-      when the caller passes [domain_requests]); [{"op": "ping"}] —
-      liveness.
+    - [{"op": "stats"}] — counters (including the requests each
+      serving domain answered when the caller passes
+      [domain_requests]); [{"op": "ping"}] — liveness.
 
     Every failure (parse error, unknown model or parameter, model
     domain violation) maps to [{"ok": false, "error": …}] — on the
@@ -24,23 +23,20 @@
 
 val handle_line :
   ?pool:Parallel.Pool.t ->
-  ?scheduler:Scheduler.t ->
   ?domain_requests:(unit -> int array) ->
   Server.t ->
   string ->
   string
 (** [handle_line server line] parses one request line and returns the
     response line (without trailing newline). Never raises on malformed
-    input. With [scheduler], single-query misses are coalesced across
-    concurrent callers ({!Scheduler.answer}); the scheduler must wrap
-    the same server. [domain_requests] gives the requests answered so
-    far per serving domain: [stats] reports them as
-    ["domain_requests"], and the domains with at least one as
-    ["serving_domains"]. *)
+    input. A single query is answered by {!Server.answer} on the
+    calling thread; a batch by {!Server.answer_batch} over [pool].
+    [domain_requests] gives the requests answered so far per serving
+    domain: [stats] reports them as ["domain_requests"], and the
+    domains with at least one as ["serving_domains"]. *)
 
 val handle_value :
   ?pool:Parallel.Pool.t ->
-  ?scheduler:Scheduler.t ->
   ?domain_requests:(unit -> int array) ->
   Server.t ->
   Wire.t ->

@@ -74,12 +74,11 @@ type stats = {
   batched_columns : int;
 }
 
-type t = { config : config; cache : Cache.t; counters : counters }
+type t = { cache : Cache.t; counters : counters }
 
-let create ?(config = default_config) () =
+let create () =
   {
-    config;
-    cache = Cache.create ~shards:config.shards ();
+    cache = Cache.create ~shards:default_config.shards ();
     counters =
       {
         lock = Mutex.create ();
@@ -93,7 +92,7 @@ let create ?(config = default_config) () =
       };
   }
 
-let config t = t.config
+let config _ = default_config
 
 let bump t source evals =
   let c = t.counters in
@@ -121,7 +120,7 @@ let bump_batched t columns =
    guard is what keeps this an acceleration rather than an
    approximation with unbounded error: a failed guard just falls
    through to a warm-started solve. *)
-let try_interp t model chain lambda =
+let try_interp model chain lambda =
   let arr =
     Array.of_list
       (List.filter
@@ -129,7 +128,7 @@ let try_interp t model chain lambda =
          chain)
   in
   let n = Array.length arr in
-  if n < t.config.interp_min_points then None
+  if n < default_config.interp_min_points then None
   else begin
     let below = ref (-1) and above = ref (-1) in
     Array.iteri
@@ -141,14 +140,14 @@ let try_interp t model chain lambda =
       !below >= 0
       && !above >= 0
       && arr.(!above).Cache.lambda -. arr.(!below).Cache.lambda
-         <= t.config.interp_gap
+         <= default_config.interp_gap
     then begin
       let xs = Numerics.Vec.init n (fun i -> arr.(i).Cache.lambda) in
       let cols = Array.map (fun e -> e.Cache.state) arr in
       let state = Numerics.Interp.pchip_cols ~xs ~cols lambda in
       let residual = Drive.residual model state in
       if
-        residual <= t.config.tol *. t.config.guard_factor
+        residual <= default_config.tol *. default_config.guard_factor
         && model.Model.validate state
       then Some (state, residual)
       else None
@@ -167,7 +166,7 @@ let try_interp t model chain lambda =
    Anderson mixing engage straight away (the mixing's stall/escape
    fallback bounds the downside); cold solves keep the solver's
    conservative default basin. *)
-let pick_start t model chain lambda =
+let pick_start model chain lambda =
   let candidates = List.map (fun e -> (e.Cache.lambda, e.Cache.state)) chain in
   match Continuation.nearest_start ~candidates ~dim:model.Model.dim lambda with
   | `Warm -> (`Warm, Drive.default_basin, Cold, 0)
@@ -175,7 +174,7 @@ let pick_start t model chain lambda =
       let r_near = Drive.residual model s in
       let r_default = Drive.residual model (model.Model.initial_warm ()) in
       if r_default <= r_near then (`Warm, Drive.default_basin, Cold, 2)
-      else (`State s, t.config.warm_basin, Warm, 2)
+      else (`State s, default_config.warm_basin, Warm, 2)
 
 let finish_answer t (fam : Families.t) lambda model source fp extra_evals =
   let evals = fp.Drive.evals + extra_evals in
@@ -209,8 +208,8 @@ let finish_answer t (fam : Families.t) lambda model source fp extra_evals =
 let solve_scalar_miss t (fam : Families.t) lambda =
   let model = fam.Families.build lambda in
   let chain = Cache.chain t.cache ~family:fam.Families.family in
-  let start, basin, source, extra_evals = pick_start t model chain lambda in
-  let fp = Drive.fixed_point ~tol:t.config.tol ~basin ~start model in
+  let start, basin, source, extra_evals = pick_start model chain lambda in
+  let fp = Drive.fixed_point ~tol:default_config.tol ~basin ~start model in
   finish_answer t fam lambda model source fp extra_evals
 
 let try_fast t (fam : Families.t) lambda =
@@ -231,7 +230,7 @@ let try_fast t (fam : Families.t) lambda =
         }
   | Cache.Miss chain -> (
       let model = fam.Families.build lambda in
-      match try_interp t model chain lambda with
+      match try_interp model chain lambda with
       | Some (state, residual) ->
           let mean_tasks = Metrics.mean_tasks model state in
           let mean_time = Metrics.mean_time model state in
@@ -281,7 +280,7 @@ let rec solve_group t (fam : Families.t) lambdas =
       Array.iteri
         (fun i lambda ->
           let start, basin, source, extra =
-            pick_start t models.(i) chain lambda
+            pick_start models.(i) chain lambda
           in
           starts.(i) <-
             (start :> [ `Empty | `Warm | `State of Numerics.Vec.t ]);
@@ -309,7 +308,7 @@ let rec solve_group t (fam : Families.t) lambdas =
       end
       else begin
         let fps, _stats =
-          Drive.fixed_point_batch ~tol:t.config.tol ~starts ~basins models
+          Drive.fixed_point_batch ~tol:default_config.tol ~starts ~basins models
         in
         bump_batched t k;
         Array.to_list

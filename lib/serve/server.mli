@@ -31,8 +31,8 @@
     Thread-safety: all server state is either immutable or touched only
     under a mutex (the cache's shard stripes, the served-query
     counters), so [answer] may be called concurrently from any number
-    of domains — the daemon does exactly that, one domain per
-    connection. *)
+    of threads and domains — the daemon does exactly that, answering
+    each connection on the pool domain that hosts it. *)
 
 type source = Hit | Interpolated | Warm | Cold
 
@@ -40,29 +40,30 @@ val source_name : source -> string
 (** ["hit"], ["interpolated"], ["warm"], ["cold"] — stable JSON
     spelling. *)
 
-type config = {
-  shards : int;  (** Cache stripes (default 16). *)
+type config = private {
+  shards : int;  (** Cache stripes (16). *)
   depth : int;
       (** Pinned truncation depth handed to {!Families.resolve}
-          (default {!Families.default_depth}); part of the cache key. *)
-  tol : float;  (** Solver tolerance for misses (default 1e-11). *)
+          ({!Families.default_depth}); part of the cache key. *)
+  tol : float;  (** Solver tolerance for misses (1e-11). *)
   interp_gap : float;
       (** Maximum λ-width of a cached bracket eligible for
-          interpolation (default 0.03). *)
+          interpolation (0.03). *)
   interp_min_points : int;
       (** Minimum cached points of matching dimension in the family
-          before interpolation is attempted (default 4). *)
+          before interpolation is attempted (4). *)
   guard_factor : float;
       (** Interpolated states are accepted iff their true residual is
-          ≤ [tol · guard_factor] (default 1e4, i.e. 1e-7 at the default
-          [tol]). *)
+          ≤ [tol · guard_factor] (1e4, i.e. 1e-7 at [tol]). *)
   warm_basin : float;
       (** Residual below which a warm-started solve enters Anderson
-          mixing directly (default 1e-2 — loose enough that a
-          nearest-neighbour start skips the relaxation transport phase;
-          see {!Meanfield.Drive.fixed_point}'s [basin]). Cold solves
-          keep the solver's conservative default. *)
+          mixing directly (1e-2 — loose enough that a nearest-neighbour
+          start skips the relaxation transport phase; see
+          {!Meanfield.Drive.fixed_point}'s [basin]). Cold solves keep
+          the solver's conservative default. *)
 }
+(** The server's constants. Read-only: every server runs on
+    {!default_config}. *)
 
 val default_config : config
 
@@ -100,9 +101,10 @@ type stats = {
       (** Total columns across those batched solves. *)
 }
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
 val config : t -> config
+(** Always {!default_config}. *)
 
 val answer : t -> Families.t -> float -> answer
 (** [answer t fam λ] serves one query. λ is canonicalised first
@@ -113,9 +115,9 @@ val answer : t -> Families.t -> float -> answer
 val try_fast : t -> Families.t -> float -> answer option
 (** The two solver-free tiers only: a cache hit or a certified
     interpolation, counted and (for an interpolation) inserted exactly
-    as {!answer} would; [None] means the query needs a real solve. The
-    miss scheduler uses this to answer instantly what it can and
-    coalesce only true misses. *)
+    as {!answer} would; [None] means the query needs a real solve.
+    {!answer_batch} uses this to find a family's true misses before
+    it hands them to {!solve_group}. *)
 
 val solve_group : t -> Families.t -> float list -> answer list
 (** Solve a group of true misses of one family — distinct canonical λs,

@@ -114,9 +114,9 @@ let stream ?(seed = 42) ?(models = default_models) ?(grid = 24)
        emit a λ-scan — one model asked at [burst_len] consecutive grid
        rates, the shape an auto-scaler sweeping a what-if curve (or a
        dashboard fanning a row of gauges) produces. These are the
-       misses batched lockstep solves and the daemon's miss scheduler
-       coalesce; all burst draws are guarded behind [burst_share > 0]
-       so they never perturb the default stream. *)
+       misses a batch request's lockstep solve groups; all burst draws
+       are guarded behind [burst_share > 0] so they never perturb the
+       default stream. *)
     let out = ref [] in
     let count = ref 0 in
     let push q =

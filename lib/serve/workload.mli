@@ -36,10 +36,10 @@ val stream :
     [offgrid_share 0.15]. With [burst_share > 0] (default 0), each base
     query is followed, with that probability, by a {e burst}: one model
     asked at [burst_len] (default 8) consecutive grid rates ascending
-    from a random slot — the same-family miss trains that lockstep
-    batch solves and the daemon's miss scheduler coalesce. Burst draws
-    are guarded behind [burst_share > 0], so the default stream is
-    byte-identical to streams recorded before bursts existed.
+    from a random slot — the same-family miss trains a batch request's
+    lockstep solve groups. Burst draws are guarded behind
+    [burst_share > 0], so the default stream is byte-identical to
+    streams recorded before bursts existed.
     @raise Invalid_argument on degenerate arguments. *)
 
 val request_json : ?tail:int -> query -> Wire.t

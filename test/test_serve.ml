@@ -366,7 +366,7 @@ let test_server_batch_pool_invariant () =
            0.0))
     a b
 
-(* ---------- solve_group / Scheduler ---------- *)
+(* ---------- solve_group ---------- *)
 
 let test_server_group_anchor () =
   (* a fully cold miss train: the group scalar-solves the median λ as
@@ -388,92 +388,6 @@ let test_server_group_anchor () =
   let s = Server.stats t in
   Alcotest.(check int) "one lockstep solve" 1 s.Server.batched_solves;
   Alcotest.(check int) "two batched columns" 2 s.Server.batched_columns
-
-let test_scheduler_single_query () =
-  (* window 0: the leader seals and solves immediately — the scheduler
-     must be a drop-in for Server.answer on an idle daemon *)
-  let t = Server.create () in
-  let sch = Scheduler.create ~window:0.0 t in
-  let fam = resolve_exn "threshold" [] in
-  let a = Scheduler.answer sch fam 0.8 in
-  Alcotest.(check string) "cold solve" "cold"
-    (Server.source_name a.Server.source);
-  let b = Scheduler.answer sch fam 0.8 in
-  Alcotest.(check string) "then a hit" "hit"
-    (Server.source_name b.Server.source);
-  let s = Scheduler.stats sch in
-  Alcotest.(check int) "one miss scheduled" 1 s.Scheduler.scheduled;
-  Alcotest.(check int) "one group run" 1 s.Scheduler.groups_run;
-  Alcotest.(check int) "nothing coalesced" 0 s.Scheduler.coalesced
-
-let test_scheduler_coalesces () =
-  (* four concurrent misses of one family inside one window: one
-     leader, three coalesced followers, the duplicate λ single-flight *)
-  let t = Server.create () in
-  let sch = Scheduler.create ~window:0.5 t in
-  let fam = resolve_exn "simple" [] in
-  let lambdas = [| 0.81; 0.83; 0.83; 0.85 |] in
-  let results = Array.make (Array.length lambdas) None in
-  let threads =
-    Array.mapi
-      (fun i lambda ->
-        Thread.create
-          (fun lambda -> results.(i) <- Some (Scheduler.answer sch fam lambda))
-          lambda)
-      lambdas
-  in
-  Array.iter Thread.join threads;
-  Array.iteri
-    (fun i r ->
-      match r with
-      | None -> Alcotest.failf "query %d returned nothing" i
-      | Some a ->
-          check_close 0.0 "right lambda" lambdas.(i) a.Server.lambda;
-          Alcotest.(check bool) "certified" true
-            (a.Server.residual <= (Server.config t).Server.tol))
-    results;
-  (* the two 0.83 queries shared one slot: bitwise-identical answers *)
-  (match (results.(1), results.(2)) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "single-flight shares the state" true
-        (Float.equal (Numerics.Vec.dist_inf a.Server.state b.Server.state)
-           0.0);
-      Alcotest.(check int) "single-flight shares the cost" a.Server.evals
-        b.Server.evals
-  | _ -> Alcotest.fail "missing duplicate answers");
-  let s = Scheduler.stats sch in
-  Alcotest.(check int) "all four misses scheduled" 4 s.Scheduler.scheduled;
-  Alcotest.(check int) "one group" 1 s.Scheduler.groups_run;
-  Alcotest.(check int) "three joined the leader" 3 s.Scheduler.coalesced;
-  Alcotest.(check int) "duplicate lambda shared" 1 s.Scheduler.shared;
-  (* three distinct λs, all cold: anchor + a 2-column lockstep solve *)
-  let ss = Server.stats t in
-  Alcotest.(check int) "one lockstep solve" 1 ss.Server.batched_solves
-
-let test_scheduler_error_propagates () =
-  (* a solve failure must resurface on the waiting thread as the same
-     Invalid_argument the scalar path would have thrown, and must not
-     wedge the scheduler for later queries *)
-  let t = Server.create () in
-  let sch = Scheduler.create ~window:0.0 t in
-  let fam = resolve_exn "threshold" [] in
-  (match Scheduler.answer sch fam 1.5 with
-  | _ -> Alcotest.fail "accepted an unstable lambda"
-  | exception Invalid_argument _ -> ());
-  let a = Scheduler.answer sch fam 0.8 in
-  Alcotest.(check string) "scheduler still serves" "cold"
-    (Server.source_name a.Server.source)
-
-let test_scheduler_rejects_bad_config () =
-  let t = Server.create () in
-  Alcotest.(check bool) "negative window rejected" true
-    (match Scheduler.create ~window:(-1.0) t with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "zero max_batch rejected" true
-    (match Scheduler.create ~max_batch:0 t with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
 
 (* ---------- Protocol ---------- *)
 
@@ -626,6 +540,110 @@ let test_conn_close_mid_line () =
       wait 30_000;
       Alcotest.check_raises "no answer to the partial line" End_of_file
         (fun () -> ignore (input_line ic)))
+
+(* Four connections hosted on a 2-domain pool send the same miss train
+   of one family, so equal-λ misses race across domains. Every answer
+   must be certified, racing answers must agree, and every query must
+   be counted exactly once. *)
+let test_conn_concurrent_misses () =
+  let t = Server.create () in
+  let tol = (Server.config t).Server.tol in
+  let pool = Parallel.Pool.create ~domains:2 in
+  let conns = Conn.create ~pool t in
+  let lambdas = [ 0.71; 0.73; 0.75 ] in
+  let train =
+    String.concat ""
+      (List.map
+         (Printf.sprintf "{\"model\": \"simple\", \"lambda\": %g}\n")
+         lambdas)
+  in
+  let clients =
+    Array.init 4 (fun _ ->
+        let client, daemon = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        ignore
+          (Parallel.Pool.host pool (fun domain ->
+               Conn.serve conns ~domain daemon));
+        client)
+  in
+  let live = Array.make (Array.length clients) true in
+  let close i =
+    if live.(i) then begin
+      live.(i) <- false;
+      Unix.close clients.(i)
+    end
+  in
+  let num v key =
+    match member_exn v key with
+    | Wire.Num x -> x
+    | _ -> Alcotest.failf "%s is not a number" key
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iteri (fun i _ -> close i) clients;
+      Parallel.Pool.shutdown pool)
+    (fun () ->
+      (* every train is sent before any answer is read, so the four
+         connections' misses overlap *)
+      Array.iter (fun c -> send c train) clients;
+      let chans = Array.map Unix.in_channel_of_descr clients in
+      let answers =
+        Array.map
+          (fun ic -> List.map (fun _ -> Wire.of_string (input_line ic)) lambdas)
+          chans
+      in
+      Array.iter
+        (List.iter2
+           (fun l a ->
+             Alcotest.(check bool) "ok" true (ok a);
+             check_close 0.0 "answers its lambda" (Key.canon_float l)
+               (num a "lambda");
+             Alcotest.(check bool) "certified" true (num a "residual" <= tol))
+           lambdas)
+        answers;
+      Array.iter
+        (List.iter2
+           (fun a b ->
+             let x = num a "mean_time" and y = num b "mean_time" in
+             Alcotest.(check bool)
+               (Printf.sprintf "equal-lambda answers agree: %.12g vs %.12g" x y)
+               true
+               (Float.abs (x -. y) <= 1e-6 *. Float.abs x))
+           answers.(0))
+        answers;
+      (* stats once the other three handlers have ended, so every count
+         they make is in *)
+      for i = 1 to Array.length clients - 1 do
+        close i
+      done;
+      let rec wait k =
+        if Array.fold_left ( + ) 0 (Parallel.Pool.hosted pool) > 1 then begin
+          if k = 0 then Alcotest.fail "handlers still running";
+          Thread.delay 0.001;
+          wait (k - 1)
+        end
+      in
+      wait 30_000;
+      send clients.(0) "{\"op\": \"stats\"}\n";
+      let stats = Wire.of_string (input_line chans.(0)) in
+      let sent = Array.length clients * List.length lambdas in
+      check_close 0.0 "served counts every query" (float_of_int sent)
+        (num stats "served");
+      check_close 0.0 "one cache entry per lambda"
+        (float_of_int (List.length lambdas))
+        (num stats "cache_entries");
+      (match member_exn stats "domain_requests" with
+      | Wire.Arr counts ->
+          let total =
+            List.fold_left
+              (fun acc v ->
+                match v with
+                | Wire.Num n -> acc +. n
+                | _ -> Alcotest.fail "domain_requests holds a non-number")
+              0.0 counts
+          in
+          check_close 0.0 "every request tallied" (float_of_int sent) total
+      | v -> Alcotest.failf "domain_requests: %s" (Wire.to_string v));
+      check_close 0.0 "both domains served" 2.0 (num stats "serving_domains"))
 
 (* ---------- Workload ---------- *)
 
@@ -849,16 +867,6 @@ let () =
           Alcotest.test_case "cold group anchors on the median" `Quick
             test_server_group_anchor;
         ] );
-      ( "scheduler",
-        [
-          Alcotest.test_case "single query" `Quick test_scheduler_single_query;
-          Alcotest.test_case "coalesces a burst" `Quick
-            test_scheduler_coalesces;
-          Alcotest.test_case "errors propagate" `Quick
-            test_scheduler_error_propagates;
-          Alcotest.test_case "rejects bad config" `Quick
-            test_scheduler_rejects_bad_config;
-        ] );
       ( "protocol",
         [
           Alcotest.test_case "single query" `Quick test_protocol_single_query;
@@ -871,6 +879,8 @@ let () =
         [
           Alcotest.test_case "over-long line" `Quick test_conn_overlong_line;
           Alcotest.test_case "close mid-line" `Quick test_conn_close_mid_line;
+          Alcotest.test_case "concurrent misses all counted" `Quick
+            test_conn_concurrent_misses;
         ] );
       ( "workload",
         [
