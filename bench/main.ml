@@ -406,9 +406,9 @@ let meanfield_case ~name ~seed_build ~cont_build lambdas =
       0 lambdas
   in
   let t1 = Unix.gettimeofday () in
-  let chain = Experiments.Sweep.along_lambda ~build:cont_build lambdas in
+  let chain = Meanfield.Continuation.along_lambda ~build:cont_build lambdas in
   let t2 = Unix.gettimeofday () in
-  let new_evals = Experiments.Sweep.total_evals chain in
+  let new_evals = Meanfield.Continuation.total_evals chain in
   let converged =
     List.for_all (fun (_, fp) -> fp.Meanfield.Drive.converged) chain
   in
@@ -426,7 +426,7 @@ let run_meanfield ~json () =
     \ seed = per-lambda fixed-step RK4, new = adaptive+Anderson with \
      lambda-continuation):";
   let lambdas = Experiments.Paper_values.table1_lambdas in
-  let dim = Experiments.Sweep.pinned_dim lambdas in
+  let dim = Meanfield.Continuation.pinned_dim lambdas in
   (* sequenced lets: list elements would evaluate (and print) in
      right-to-left order otherwise *)
   let simple =
@@ -584,11 +584,11 @@ let meanfield_batch_measure () =
     meanfield_batch_case ~name:"table1/simple" ~tol
       ~build:(fun lambda ->
         Meanfield.Simple_ws.model ~lambda
-          ~dim:(Experiments.Sweep.pinned_dim lambdas)
+          ~dim:(Meanfield.Continuation.pinned_dim lambdas)
           ())
       ~build_batch:(fun grid ->
         Meanfield.Simple_ws.batch ~lambdas:grid
-          ~dim:(Experiments.Sweep.pinned_dim lambdas)
+          ~dim:(Meanfield.Continuation.pinned_dim lambdas)
           ())
       lambdas
   in

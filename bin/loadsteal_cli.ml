@@ -2,24 +2,32 @@
 
    Subcommands:
      fixed-point   solve a mean-field model and print its predictions
-     fixpoint      same solve, focused on solver choice and cost stats
      trajectory    integrate a model and print E[N](t)
      simulate      run the finite-n simulator under a policy
      experiment    regenerate a paper table / analysis experiment
      stability     L1-distance trace to the fixed point (Section 4)
-     list          list available experiments *)
+     list          list available experiments
+     check         generic diagnostics on one model's fixed point
+     drain         a static (batch drain) system, fluid and simulated *)
 
 open Cmdliner
 
-let print_fixed_point name params =
+let print_fixed_point name params solver stats =
   let model = Model_args.build_model name params in
-  let fp = Meanfield.Drive.fixed_point model in
+  let fp = Meanfield.Drive.fixed_point ~solver model in
   let state = fp.Meanfield.Drive.state in
   Printf.printf "model:     %s\n" model.Meanfield.Model.name;
   Printf.printf "dim:       %d\n" model.Meanfield.Model.dim;
+  Printf.printf "solver:    %s (used %s)\n"
+    (Meanfield.Drive.solver_name solver)
+    (Meanfield.Drive.solver_name fp.Meanfield.Drive.method_used);
   Printf.printf "converged: %b (residual %.2e, relaxation time %.0f)\n"
     fp.Meanfield.Drive.converged fp.Meanfield.Drive.residual
     fp.Meanfield.Drive.elapsed;
+  if stats then begin
+    Printf.printf "iterations: %d\n" fp.Meanfield.Drive.iterations;
+    Printf.printf "evals:      %d\n" fp.Meanfield.Drive.evals
+  end;
   Printf.printf "E[N] per processor: %.6f\n"
     (Meanfield.Metrics.mean_tasks model state);
   let et = Meanfield.Metrics.mean_time model state in
@@ -36,36 +44,9 @@ let print_fixed_point name params =
   | None ->
       Printf.printf "tail ratio (fitted): %.6f\n"
         (Meanfield.Metrics.empirical_tail_ratio state));
-  0
-
-let fixed_point_cmd =
-  let doc = "Solve a mean-field model's fixed point and print predictions." in
-  Cmd.v
-    (Cmd.info "fixed-point" ~doc)
-    Term.(const print_fixed_point $ Model_args.model_term
-          $ Model_args.params_term)
-
-let print_fixpoint name params solver stats =
-  let model = Model_args.build_model name params in
-  let fp = Meanfield.Drive.fixed_point ~solver model in
-  let state = fp.Meanfield.Drive.state in
-  Printf.printf "model:     %s\n" model.Meanfield.Model.name;
-  Printf.printf "solver:    %s (used %s)\n"
-    (Meanfield.Drive.solver_name solver)
-    (Meanfield.Drive.solver_name fp.Meanfield.Drive.method_used);
-  Printf.printf "converged: %b\n" fp.Meanfield.Drive.converged;
-  Printf.printf "residual:  %.3e\n" fp.Meanfield.Drive.residual;
-  let et = Meanfield.Metrics.mean_time model state in
-  if Float.is_nan et then print_endline "E[T]: n/a (no throughput)"
-  else Printf.printf "E[T]:      %.6f\n" et;
-  if stats then begin
-    Printf.printf "iterations: %d\n" fp.Meanfield.Drive.iterations;
-    Printf.printf "evals:      %d\n" fp.Meanfield.Drive.evals;
-    Printf.printf "relaxation time: %.1f\n" fp.Meanfield.Drive.elapsed
-  end;
   if fp.Meanfield.Drive.converged then 0 else 1
 
-let fixpoint_cmd =
+let fixed_point_cmd =
   let solver =
     Arg.(
       value
@@ -82,14 +63,15 @@ let fixpoint_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Also print iterations, derivative evaluations and the \
-                simulated relaxation time.")
+          ~doc:"Also print solver iterations and derivative evaluations.")
   in
   let doc =
-    "Solve a model's fixed point with an explicit solver and report cost."
+    "Solve a mean-field model's fixed point and print predictions; exits 1 \
+     when the solve did not converge."
   in
-  Cmd.v (Cmd.info "fixpoint" ~doc)
-    Term.(const print_fixpoint $ Model_args.model_term
+  Cmd.v
+    (Cmd.info "fixed-point" ~doc)
+    Term.(const print_fixed_point $ Model_args.model_term
           $ Model_args.params_term $ solver $ stats)
 
 let print_trajectory name params horizon sample_every start =
@@ -414,7 +396,7 @@ let main_cmd =
   Cmd.group
     (Cmd.info "loadsteal_cli" ~version:"1.0.0" ~doc)
     [
-      fixed_point_cmd; fixpoint_cmd; trajectory_cmd; simulate_cmd;
+      fixed_point_cmd; trajectory_cmd; simulate_cmd;
       experiment_cmd;
       list_cmd; stability_cmd; check_cmd; drain_cmd;
     ]

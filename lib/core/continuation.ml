@@ -1,9 +1,9 @@
 (* Nearest-neighbour warm starts along the fixed-point curve, shared by
-   the serial sweep continuation (Experiments.Sweep) and the prediction
-   service's fixed-point cache (Serve.Server). One implementation, two
-   call shapes: the sweep feeds the single previous point of its
-   ascending chain, the cache feeds every entry it holds for the model
-   family. *)
+   the serial sweep continuation (along_lambda, which solves the paper
+   tables' grids) and the prediction service's fixed-point cache
+   (Serve.Server). One implementation, two call shapes: the sweep feeds
+   the single previous point of its ascending chain, the cache feeds
+   every entry it holds for the model family. *)
 
 let nearest_start ~candidates ~dim lambda =
   let best =
@@ -20,7 +20,7 @@ let nearest_start ~candidates ~dim lambda =
   in
   match best with Some (_, s) -> `State s | None -> `Warm
 
-let along_lambda ?solver ?tol ?max_time ?accelerate ~build lambdas =
+let along_lambda ~build lambdas =
   (* Solve serially in ascending lambda so each point starts from its
      neighbour's fixed point: the fixed-point curve is continuous in
      lambda, so the warm start is already inside the Anderson basin for
@@ -36,10 +36,22 @@ let along_lambda ?solver ?tol ?max_time ?accelerate ~build lambdas =
         let start =
           nearest_start ~candidates:prev ~dim:model.Model.dim lambda
         in
-        let fp = Drive.fixed_point ?solver ?tol ?max_time ?accelerate ~start model in
+        let fp = Drive.fixed_point ~start model in
         ([ (lambda, fp.Drive.state) ], (idx, lambda, fp) :: acc))
       ([], []) ascending
   in
   List.map
     (fun (_, lambda, fp) -> (lambda, fp))
     (List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j) solved)
+
+let lookup results lambda =
+  match List.find_opt (fun (l, _) -> Float.equal l lambda) results with
+  | Some (_, fp) -> fp
+  | None -> invalid_arg "Continuation.lookup: lambda not solved by this sweep"
+
+let total_evals results =
+  List.fold_left (fun acc (_, fp) -> acc + fp.Drive.evals) 0 results
+
+let pinned_dim lambdas =
+  let lmax = List.fold_left Float.max 0.0 lambdas in
+  Tail.suggested_dim ~lambda:lmax ()

@@ -7,11 +7,11 @@
     near λ → 1 — and lands directly in the Anderson basin, where
     convergence takes a handful of derivative evaluations.
 
-    Two callers share this logic: the serial sweep continuation of
-    [Experiments.Sweep] (whose nearest neighbour is the previous point of
-    its ascending chain) and the prediction service's fixed-point cache
-    ([Serve.Server], whose candidates are every entry cached for the
-    model family). *)
+    Two callers share this logic: the serial λ-sweeps of the paper
+    tables and experiments ({!along_lambda}, whose nearest neighbour is
+    the previous point of its ascending chain) and the prediction
+    service's fixed-point cache ([Serve.Server], whose candidates are
+    every entry cached for the model family). *)
 
 val nearest_start :
   candidates:(float * Numerics.Vec.t) list ->
@@ -28,17 +28,34 @@ val nearest_start :
     freely. *)
 
 val along_lambda :
-  ?solver:Drive.solver ->
-  ?tol:float ->
-  ?max_time:float ->
-  ?accelerate:bool ->
-  build:(float -> Model.t) ->
-  float list ->
-  (float * Drive.fixed_point) list
-(** [along_lambda ~build lambdas] solves [build λ] for each λ, in
-    ascending-λ order with warm-start continuation (each solve starts
-    from {!nearest_start} of the previous chain point), and returns
-    [(λ, fixed point)] pairs in the {e input} order of [lambdas].
-    Optional arguments are passed through to {!Drive.fixed_point} and
-    keep its defaults. A dimension mismatch between consecutive models
+  build:(float -> Model.t) -> float list -> (float * Drive.fixed_point) list
+(** [along_lambda ~build lambdas] solves [build λ] for each λ with
+    {!Drive.fixed_point}'s defaults, in ascending-λ order with warm-start
+    continuation (each solve starts from {!nearest_start} of the previous
+    chain point), and returns [(λ, fixed point)] pairs in the {e input}
+    order of [lambdas].
+
+    The continuation is deliberately serial: solve-to-solve data
+    dependence is the point. Experiments therefore run their sweeps
+    once, up front, and only then fan simulations out in parallel;
+    restoring the input order keeps that deterministic parallel mapping,
+    and hence every printed table, independent of the visiting order.
+
+    For the warm start to transfer, consecutive models must share a
+    dimension: builders should pin their truncation depth (e.g. via
+    {!pinned_dim}) rather than let it vary with λ. A dimension mismatch
     is not an error — that solve just falls back to [`Warm]. *)
+
+val lookup : (float * Drive.fixed_point) list -> float -> Drive.fixed_point
+(** Exact-λ lookup (by [Float.equal]) in a sweep's result — for use with
+    the same float constants the sweep was built from.
+    @raise Invalid_argument when λ was not in the sweep. *)
+
+val total_evals : (float * Drive.fixed_point) list -> int
+(** Total derivative evaluations across the sweep — the solver cost
+    [bench meanfield] reports and CI's perf-smoke job floors. *)
+
+val pinned_dim : float list -> int
+(** Truncation dimension large enough for every λ in the list (the
+    {!Tail.suggested_dim} of the largest), so a whole sweep can share
+    one state dimension and warm starts always transfer. *)

@@ -46,9 +46,9 @@ let relax_atol = 1e-12
 (* Chunk length between residual checks during relaxation. *)
 let check_every_default = 25.0
 
-let fixed_point ?dt ?(tol = 1e-11) ?(max_time = 2e5) ?(accelerate = true)
+let fixed_point ?(tol = 1e-11) ?(max_time = 2e5) ?(accelerate = true)
     ?(solver = `Anderson) ?(start = `Warm) ?(basin = basin_residual) model =
-  let dt = match dt with Some d -> d | None -> model.Model.suggested_dt in
+  let dt = model.Model.suggested_dt in
   let n = model.Model.dim in
   let y = initial model start in
   let base = Model.as_system model in
@@ -95,7 +95,7 @@ let fixed_point ?dt ?(tol = 1e-11) ?(max_time = 2e5) ?(accelerate = true)
   let rk45_chunk span =
     let atol = Float.max 1e-14 (relax_atol *. (!cur_rtol /. relax_rtol)) in
     ignore
-      (Ode.adaptive ~pair:Ode.Rk45 ~rtol:!cur_rtol ~atol ~dt0:dt ~ws sys ~y
+      (Ode.adaptive ~rtol:!cur_rtol ~atol ~dt0:dt ~ws sys ~y
          ~t0:0.0 ~t1:span)
   in
   let check_every = check_every_default in
@@ -355,7 +355,7 @@ let fixed_point_batch ?(tol = 1e-11) ?(max_time = 2e5) ?starts ?basins models
   while act.Active.n > 0 && !t < max_time do
     let span = Float.min check_every_default (max_time -. !t) in
     ignore
-      (Ode.adaptive_cols ~pair:Ode.Rk45 ~rtol:relax_rtol ~atol:relax_atol
+      (Ode.adaptive_cols ~rtol:relax_rtol ~atol:relax_atol
          ~dt0s ~ws sys ~ys ~cols:act ~t0:0.0 ~t1:span);
     t := !t +. span;
     for j = act.Active.n - 1 downto 0 do
@@ -549,7 +549,7 @@ let trajectory ?(dt = 0.05) ?(adaptive = false) ?(rtol = 1e-10)
     while !t < horizon -. 1e-14 do
       let target = Float.min horizon (!t +. sample_every) in
       ignore
-        (Ode.adaptive ~pair:Ode.Rk45 ~rtol ~atol:1e-14 ~dt0:dt ~ws sys ~y
+        (Ode.adaptive ~rtol ~atol:1e-14 ~dt0:dt ~ws sys ~y
            ~t0:!t ~t1:target);
       t := target;
       samples := (!t, Vec.copy y) :: !samples

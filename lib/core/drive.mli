@@ -36,7 +36,6 @@ type fixed_point = {
 }
 
 val fixed_point :
-  ?dt:float ->
   ?tol:float ->
   ?max_time:float ->
   ?accelerate:bool ->
@@ -45,22 +44,25 @@ val fixed_point :
   ?basin:float ->
   Model.t ->
   fixed_point
-(** Solve the model for its fixed point. Defaults: [dt] from
-    {!Model.t.suggested_dt}, [tol = 1e-11], [max_time = 2e5],
-    [accelerate = true], [solver = `Anderson], [start = `Warm]. The
-    returned state is freshly allocated. Convergence always means the
-    exact residual [‖ds/dt‖∞ ≤ tol], whatever the method; [max_time]
-    bounds the simulated relaxation time as before. With
-    [accelerate = false] every algebraic acceleration (Aitken and
-    Anderson) is disabled, leaving pure relaxation — the ablation knob.
-    [start = `State s] requires [s] to have the model's dimension; sweeps
-    use it to warm-start each solve from the neighbouring λ's fixed point
-    (see [Experiments.Sweep]). [basin] (default [1e-4]) is the residual
-    below which the [`Anderson] hybrid hands the relaxation phase over to
-    Anderson mixing; warm starts from a nearby λ's fixed point can raise
-    it to skip the transport phase entirely — the mixing is safe to enter
-    early there because a stall or domain escape falls back to
-    relaxation, costing at worst one bounded detour. *)
+(** Solve the model for its fixed point. Defaults: [tol = 1e-11],
+    [max_time = 2e5], [accelerate = true], [solver = `Anderson],
+    [start = `Warm]. Every step size derives from the model's own
+    {!Model.t.suggested_dt}: the RK4 step, the adaptive pair's first
+    step and the Anderson map step. The returned state is freshly
+    allocated. Convergence always means the exact residual
+    [‖ds/dt‖∞ ≤ tol], whatever the method; [max_time] bounds the
+    simulated relaxation time. With [accelerate = false] every
+    algebraic acceleration (Aitken and Anderson) is disabled, leaving
+    pure relaxation — the ablation knob. [start = `State s] requires
+    [s] to have the model's dimension; sweeps use it to warm-start each
+    solve from the neighbouring λ's fixed point (see
+    {!Continuation.along_lambda}). [basin] (default [1e-4]) is the
+    residual below which the [`Anderson] hybrid hands the relaxation
+    phase over to Anderson mixing; warm starts from a nearby λ's fixed
+    point can raise it to skip the transport phase entirely — the
+    mixing is safe to enter early there because a stall or domain
+    escape falls back to relaxation, costing at worst one bounded
+    detour. *)
 
 val residual : Model.t -> Numerics.Vec.t -> float
 (** [‖ds/dt‖∞] at the given state. *)

@@ -6,17 +6,11 @@
     [πᵢ = λⁱ]. Every other model is compared against this baseline. *)
 
 val model : lambda:float -> ?dim:int -> unit -> Model.t
-(** @raise Invalid_argument unless [0 ≤ lambda < 1]. *)
-
-val batch : lambdas:float array -> ?dim:int -> unit -> Model.t array
-(** A batch of M/M/1 models sharing one truncation depth (default: the
-    deepest {!Tail.suggested_dim} over the grid) and one hand-batched
-    [deriv_cols] kernel, for {!Drive.fixed_point_batch}. Column [k]
-    solves [lambdas.(k)]; the kernel's per-column output is bit-identical
-    to the scalar [deriv]. Members share mutable kernel scratch and the
-    kernel resolves each member's λ by column position, so solve the
-    batch whole and in its built order — one batch at a time, never a
-    re-batched subset. *)
+(** The model's [initial_warm] is its closed-form fixed point, so a
+    solve from the default start converges at once. It has no
+    hand-batched [deriv_cols] kernel: a {!Drive.fixed_point_batch} of
+    mm1 models runs the scalar bridge.
+    @raise Invalid_argument unless [0 ≤ lambda < 1]. *)
 
 val fixed_point_exact : lambda:float -> dim:int -> Numerics.Vec.t
 (** [πᵢ = λⁱ]. *)

@@ -81,7 +81,7 @@ let compute_solver () =
     let (), wall_seconds =
       wall (fun () ->
           ignore
-            (Numerics.Ode.dopri5 ~rtol:1e-10 ~atol:1e-13 sys ~y ~t0:0.0
+            (Numerics.Ode.adaptive ~rtol:1e-10 ~atol:1e-13 sys ~y ~t0:0.0
                ~t1:2000.0))
     in
     let dy = Array.make model.Meanfield.Model.dim 0.0 in

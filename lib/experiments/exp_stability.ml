@@ -26,9 +26,11 @@ let compute ?(threshold = 2) (scope : Scope.t) =
   (* Solve the fixed points once by λ-continuation (the same solver path
      the tables use, cross-checked against the closed form elsewhere);
      the parallel fan-out below only integrates trajectories. *)
-  let dim = max (threshold + 8) (Sweep.pinned_dim lambdas) in
+  let dim =
+    max (threshold + 8) (Meanfield.Continuation.pinned_dim lambdas)
+  in
   let chain =
-    Sweep.along_lambda
+    Meanfield.Continuation.along_lambda
       ~build:(fun lambda ->
         Meanfield.Threshold_ws.model ~lambda ~threshold ~dim ())
       lambdas
@@ -39,7 +41,9 @@ let compute ?(threshold = 2) (scope : Scope.t) =
        (fun lambda ->
       Scope.progress scope "[stability] lambda=%g T=%d@." lambda threshold;
       let model = Meanfield.Threshold_ws.model ~lambda ~threshold ~dim () in
-      let fixed_point = (Sweep.lookup chain lambda).Meanfield.Drive.state in
+      let fixed_point =
+        (Meanfield.Continuation.lookup chain lambda).Meanfield.Drive.state
+      in
       let pi2 = fixed_point.(2) in
       let horizon = 80.0 /. (1.0 -. lambda) in
       List.map

@@ -29,11 +29,11 @@ let compute_threshold (scope : Scope.t) =
     List.map
       (fun threshold ->
         let dim =
-          max (threshold + 8) (Sweep.pinned_dim lambdas)
+          max (threshold + 8) (Meanfield.Continuation.pinned_dim lambdas)
         in
         ( threshold,
           (dim,
-           Sweep.along_lambda
+           Meanfield.Continuation.along_lambda
              ~build:(fun lambda ->
                Meanfield.Threshold_ws.model ~lambda ~threshold ~dim ())
              lambdas) ))
@@ -44,7 +44,7 @@ let compute_threshold (scope : Scope.t) =
       Scope.progress scope "[threshold] lambda=%g T=%d@." lambda threshold;
       let dim, chain = List.assoc threshold chains in
       let model = Meanfield.Threshold_ws.model ~lambda ~threshold ~dim () in
-      let fp = Sweep.lookup chain lambda in
+      let fp = Meanfield.Continuation.lookup chain lambda in
       let state = fp.Meanfield.Drive.state in
       let config =
         {
@@ -77,11 +77,12 @@ let compute_preemptive (scope : Scope.t) =
     List.map
       (fun (begin_at, offset) ->
         let dim =
-          max (begin_at + offset + 8) (Sweep.pinned_dim lambdas)
+          max (begin_at + offset + 8)
+            (Meanfield.Continuation.pinned_dim lambdas)
         in
         ( (begin_at, offset),
           (dim,
-           Sweep.along_lambda
+           Meanfield.Continuation.along_lambda
              ~build:(fun lambda ->
                Meanfield.Preemptive_ws.model ~lambda ~begin_at ~offset ~dim
                  ())
@@ -96,7 +97,7 @@ let compute_preemptive (scope : Scope.t) =
       let model =
         Meanfield.Preemptive_ws.model ~lambda ~begin_at ~offset ~dim ()
       in
-      let fp = Sweep.lookup chain lambda in
+      let fp = Meanfield.Continuation.lookup chain lambda in
       let state = fp.Meanfield.Drive.state in
       let config =
         {

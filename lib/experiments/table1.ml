@@ -11,13 +11,12 @@ type row = {
 let build ~dim lambda = Meanfield.Simple_ws.model ~lambda ~dim ()
 
 let compute (scope : Scope.t) =
-  (* ODE cross-check of the closed form: the whole grid solved as one
-     lockstep batch (hand-batched simple-WS kernel) up front, so the
+  (* ODE cross-check of the closed form: the whole grid solved by
+     λ-continuation up front (dimension pinned across the chain), so the
      parallel fan-out below only runs simulations. *)
-  let dim = Sweep.pinned_dim Paper_values.table1_lambdas in
+  let dim = Meanfield.Continuation.pinned_dim Paper_values.table1_lambdas in
   let chain =
-    Sweep.along_lambda_batched
-      ~build_batch:(fun lambdas -> Meanfield.Simple_ws.batch ~lambdas ~dim ())
+    Meanfield.Continuation.along_lambda ~build:(build ~dim)
       Paper_values.table1_lambdas
   in
   Scope.par_map scope
@@ -37,7 +36,7 @@ let compute (scope : Scope.t) =
       in
       let estimate = Meanfield.Simple_ws.mean_time_exact ~lambda in
       let estimate_ode =
-        let fp = Sweep.lookup chain lambda in
+        let fp = Meanfield.Continuation.lookup chain lambda in
         Meanfield.Model.mean_time (build ~dim lambda)
           fp.Meanfield.Drive.state
       in

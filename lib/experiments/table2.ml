@@ -18,15 +18,11 @@ let build ~stages lambda =
   Meanfield.Erlang_ws.model ~lambda ~stages ~task_depth ()
 
 let chain ~stages =
-  (* Lockstep batch over the λ-grid (hand-batched Erlang kernel, task
-     depth pinned above so every column shares one dimension). *)
-  Sweep.along_lambda_batched
-    ~build_batch:(fun lambdas ->
-      Meanfield.Erlang_ws.batch ~lambdas ~stages ~task_depth ())
+  Meanfield.Continuation.along_lambda ~build:(build ~stages)
     Paper_values.table1_lambdas
 
 let stage_estimate chain ~lambda ~stages =
-  let fp = Sweep.lookup chain lambda in
+  let fp = Meanfield.Continuation.lookup chain lambda in
   Meanfield.Model.mean_time (build ~stages lambda) fp.Meanfield.Drive.state
 
 let compute (scope : Scope.t) =

@@ -33,15 +33,12 @@ let compute (scope : Scope.t) =
   (* One λ-continuation chain per threshold, solved before the parallel
      fan-out; the task depth is pinned across each chain so the warm
      starts transfer. *)
-  let depth = Sweep.pinned_dim Paper_values.table3_lambdas in
+  let depth = Meanfield.Continuation.pinned_dim Paper_values.table3_lambdas in
   let chains =
     List.map
       (fun threshold ->
-        (* Transfer_ws has no hand-batched kernel; the scalar-bridge
-           adapter still shares every lockstep sweep across the grid. *)
         ( threshold,
-          Sweep.along_lambda_batched
-            ~build_batch:(Array.map (build ~threshold ~depth))
+          Meanfield.Continuation.along_lambda ~build:(build ~threshold ~depth)
             Paper_values.table3_lambdas ))
       thresholds
   in
@@ -62,7 +59,9 @@ let compute (scope : Scope.t) =
               }
             in
             let sim = Scope.sim_mean_sojourn scope ~n config in
-            let fp = Sweep.lookup (List.assoc threshold chains) lambda in
+            let fp =
+              Meanfield.Continuation.lookup (List.assoc threshold chains) lambda
+            in
             let estimate =
               Meanfield.Model.mean_time
                 (build ~threshold ~depth lambda)

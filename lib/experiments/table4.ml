@@ -13,13 +13,11 @@ let build ~dim lambda =
 
 let compute (scope : Scope.t) =
   let n = List.fold_left max 2 scope.Scope.ns in
-  (* Fixed points solved as one lockstep batch (scalar-bridge adapter —
-     multi-choice has no hand kernel; dimension pinned across the grid)
-     before the parallel simulation fan-out. *)
-  let dim = Sweep.pinned_dim Paper_values.table1_lambdas in
+  (* Fixed points solved by λ-continuation (dimension pinned across the
+     grid) before the parallel simulation fan-out. *)
+  let dim = Meanfield.Continuation.pinned_dim Paper_values.table1_lambdas in
   let chain =
-    Sweep.along_lambda_batched
-      ~build_batch:(Array.map (build ~dim))
+    Meanfield.Continuation.along_lambda ~build:(build ~dim)
       Paper_values.table1_lambdas
   in
   Scope.par_map scope
@@ -34,7 +32,7 @@ let compute (scope : Scope.t) =
         }
       in
       let model = build ~dim lambda in
-      let fp = Sweep.lookup chain lambda in
+      let fp = Meanfield.Continuation.lookup chain lambda in
       {
         lambda;
         sim_1choice = Scope.sim_mean_sojourn scope ~n (config 1);

@@ -126,22 +126,6 @@ let e5 = b5 -. (-92097.0 /. 339200.0)
 let e6 = b6 -. (187.0 /. 2100.0)
 let e7 = -1.0 /. 40.0
 
-(* Bogacki-Shampine 3(2) tableau: the cheap embedded pair (3 fresh stages
-   per step with FSAL) for loose-tolerance relaxation phases. *)
-let bs_a21 = 1.0 /. 2.0
-let bs_a32 = 3.0 /. 4.0
-let bs_b1 = 2.0 /. 9.0
-let bs_b2 = 1.0 /. 3.0
-let bs_b3 = 4.0 /. 9.0
-
-(* 3rd-order minus 2nd-order weights. *)
-let bs_e1 = bs_b1 -. (7.0 /. 24.0)
-let bs_e2 = bs_b2 -. (1.0 /. 4.0)
-let bs_e3 = bs_b3 -. (1.0 /. 3.0)
-let bs_e4 = -1.0 /. 8.0
-
-type pair = Rk23 | Rk45
-
 type stats = { accepted : int; rejected : int; evals : int }
 
 let no_stats = { accepted = 0; rejected = 0; evals = 0 }
@@ -206,55 +190,15 @@ let dp_attempt sys ws ~rtol ~atol ~t ~h y =
   done;
   !err
 
-(* One Bogacki-Shampine 3(2) attempt; same contract as {!dp_attempt} with
-   the FSAL stage landing in ws.k4. 3 derivative evaluations. *)
-let bs_attempt sys ws ~rtol ~atol ~t ~h y =
-  let n = sys.dim in
-  for i = 0 to n - 1 do
-    ws.tmp.(i) <- y.(i) +. (h *. bs_a21 *. ws.k1.(i))
-  done;
-  sys.deriv ~t:(t +. (0.5 *. h)) ~y:ws.tmp ~dy:ws.k2;
-  for i = 0 to n - 1 do
-    ws.tmp.(i) <- y.(i) +. (h *. bs_a32 *. ws.k2.(i))
-  done;
-  sys.deriv ~t:(t +. (0.75 *. h)) ~y:ws.tmp ~dy:ws.k3;
-  for i = 0 to n - 1 do
-    ws.trial.(i) <-
-      y.(i)
-      +. (h
-          *. ((bs_b1 *. ws.k1.(i)) +. (bs_b2 *. ws.k2.(i))
-             +. (bs_b3 *. ws.k3.(i))))
-  done;
-  sys.deriv ~t:(t +. h) ~y:ws.trial ~dy:ws.k4;
-  let err = ref 0.0 in
-  for i = 0 to n - 1 do
-    let e =
-      h
-      *. ((bs_e1 *. ws.k1.(i)) +. (bs_e2 *. ws.k2.(i)) +. (bs_e3 *. ws.k3.(i))
-         +. (bs_e4 *. ws.k4.(i)))
-    in
-    let scale =
-      atol +. (rtol *. Float.max (Float.abs y.(i)) (Float.abs ws.trial.(i)))
-    in
-    let r = Float.abs e /. scale in
-    if r > !err then err := r
-  done;
-  !err
-
-let adaptive ?(pair = Rk45) ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0 ?dt_min
+let adaptive ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0 ?dt_min
     ?(dt_max = infinity) ?(max_steps = 10_000_000) ?ws sys ~y ~t0 ~t1 =
   if dt_max <= 0.0 then invalid_arg "Ode.adaptive: dt_max must be positive";
   if t1 <= t0 then no_stats
   else begin
     let ws = match ws with Some w -> w | None -> workspace sys in
-    let attempt, fsal_stage, embedded_order, fresh_evals =
-      match pair with
-      | Rk45 -> (dp_attempt, ws.k7, 4, 6)
-      | Rk23 -> (bs_attempt, ws.k4, 2, 3)
-    in
-    (* PI (Gustafsson) controller exponents for an embedded pair whose
-       error estimate has order q: err ~ h^(q+1). *)
-    let expo = 1.0 /. float_of_int (embedded_order + 1) in
+    (* PI (Gustafsson) controller exponents: the embedded estimate is
+       fourth order, err ~ h^5. *)
+    let expo = 1.0 /. 5.0 in
     let alpha = 0.7 *. expo and beta = 0.4 *. expo in
     let t = ref t0 in
     let dt =
@@ -281,11 +225,11 @@ let adaptive ?(pair = Rk45) ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0 ?dt_min
         failwith "Ode.adaptive: max_steps exceeded";
       if !dt < floor_dt !t then failwith "Ode.adaptive: step size underflow";
       let h = Float.min !dt (t1 -. !t) in
-      let err = attempt sys ws ~rtol ~atol ~t:!t ~h y in
-      evals := !evals + fresh_evals;
+      let err = dp_attempt sys ws ~rtol ~atol ~t:!t ~h y in
+      evals := !evals + 6;
       if err <= 1.0 then begin
         Vec.blit ~src:ws.trial ~dst:y;
-        Vec.blit ~src:fsal_stage ~dst:ws.k1;
+        Vec.blit ~src:ws.k7 ~dst:ws.k1;
         t := !t +. h;
         incr accepted;
         let factor =
@@ -315,9 +259,6 @@ let adaptive ?(pair = Rk45) ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0 ?dt_min
     done;
     { accepted = !accepted; rejected = !rejected; evals = !evals }
   end
-
-let dopri5 ?rtol ?atol ?dt0 ?max_steps sys ~y ~t0 ~t1 =
-  (adaptive ~pair:Rk45 ?rtol ?atol ?dt0 ?max_steps sys ~y ~t0 ~t1).accepted
 
 (* ---------- batched lockstep steppers ---------- *)
 
@@ -520,78 +461,12 @@ let dp_attempt_cols sys ws ~rtol ~atol (ys : Mat.t) =
   done;
   ws.brounds <- ws.brounds + 6
 
-(* One lockstep Bogacki-Shampine 3(2) attempt; same contract as
-   {!dp_attempt_cols} with the FSAL stage landing in ws.bk4. Three
-   derivative sweeps. *)
-let bs_attempt_cols sys ws ~rtol ~atol (ys : Mat.t) =
-  let n = sys.bdim in
-  let act = ws.bworking in
-  let na = act.Active.n in
-  for i = 0 to n - 1 do
-    for j = 0 to na - 1 do
-      let k = Array.unsafe_get act.Active.idx j in
-      let h = Array.unsafe_get ws.bhh k in
-      Bigarray.Array2.unsafe_set ws.btmp i k
-        (Bigarray.Array2.unsafe_get ys i k
-        +. (h *. bs_a21 *. Bigarray.Array2.unsafe_get ws.bk1 i k))
-    done
-  done;
-  sys.bderiv ~ys:ws.btmp ~dys:ws.bk2 ~cols:act;
-  for i = 0 to n - 1 do
-    for j = 0 to na - 1 do
-      let k = Array.unsafe_get act.Active.idx j in
-      let h = Array.unsafe_get ws.bhh k in
-      Bigarray.Array2.unsafe_set ws.btmp i k
-        (Bigarray.Array2.unsafe_get ys i k
-        +. (h *. bs_a32 *. Bigarray.Array2.unsafe_get ws.bk2 i k))
-    done
-  done;
-  sys.bderiv ~ys:ws.btmp ~dys:ws.bk3 ~cols:act;
-  for i = 0 to n - 1 do
-    for j = 0 to na - 1 do
-      let k = Array.unsafe_get act.Active.idx j in
-      let h = Array.unsafe_get ws.bhh k in
-      Bigarray.Array2.unsafe_set ws.btrial i k
-        (Bigarray.Array2.unsafe_get ys i k
-        +. (h
-            *. ((bs_b1 *. Bigarray.Array2.unsafe_get ws.bk1 i k)
-               +. (bs_b2 *. Bigarray.Array2.unsafe_get ws.bk2 i k)
-               +. (bs_b3 *. Bigarray.Array2.unsafe_get ws.bk3 i k))))
-    done
-  done;
-  sys.bderiv ~ys:ws.btrial ~dys:ws.bk4 ~cols:act;
-  for j = 0 to na - 1 do
-    let k = Array.unsafe_get act.Active.idx j in
-    Array.unsafe_set ws.berr k 0.0;
-    Array.unsafe_set ws.bevals k (Array.unsafe_get ws.bevals k + 3)
-  done;
-  for i = 0 to n - 1 do
-    for j = 0 to na - 1 do
-      let k = Array.unsafe_get act.Active.idx j in
-      let h = Array.unsafe_get ws.bhh k in
-      let e =
-        h
-        *. ((bs_e1 *. Bigarray.Array2.unsafe_get ws.bk1 i k)
-           +. (bs_e2 *. Bigarray.Array2.unsafe_get ws.bk2 i k)
-           +. (bs_e3 *. Bigarray.Array2.unsafe_get ws.bk3 i k)
-           +. (bs_e4 *. Bigarray.Array2.unsafe_get ws.bk4 i k))
-      in
-      let ay = Float.abs (Bigarray.Array2.unsafe_get ys i k) in
-      let atr = Float.abs (Bigarray.Array2.unsafe_get ws.btrial i k) in
-      let scale = atol +. (rtol *. (if ay > atr then ay else atr)) in
-      let r = Float.abs e /. scale in
-      if r > Array.unsafe_get ws.berr k then Array.unsafe_set ws.berr k r
-    done
-  done;
-  ws.brounds <- ws.brounds + 3
-
 (* Per-column accept/reject and PI-controller update after one lockstep
    attempt — the same controller as the scalar {!adaptive}, replicated
    per column. Accepted columns that reach [t1] are dropped from the
    working set (frozen: their ys column is never touched again);
    rejected columns shrink their own step without holding anyone back. *)
-let batch_commit ws ~(fsal : Mat.t) ~alpha ~beta ~expo ~dt_max ~t1
-    (ys : Mat.t) =
+let batch_commit ws ~alpha ~beta ~expo ~dt_max ~t1 (ys : Mat.t) =
   let n = Bigarray.Array2.dim1 ys in
   let act = ws.bworking in
   (* descending with swap-remove, as in {!batch_guard}: ref-free so the
@@ -606,7 +481,7 @@ let batch_commit ws ~(fsal : Mat.t) ~alpha ~beta ~expo ~dt_max ~t1
         Bigarray.Array2.unsafe_set ys i k
           (Bigarray.Array2.unsafe_get ws.btrial i k);
         Bigarray.Array2.unsafe_set ws.bk1 i k
-          (Bigarray.Array2.unsafe_get fsal i k)
+          (Bigarray.Array2.unsafe_get ws.bk7 i k)
       done;
       Array.unsafe_set ws.bts k (Array.unsafe_get ws.bts k +. h);
       Array.unsafe_set ws.baccepted k (Array.unsafe_get ws.baccepted k + 1);
@@ -645,7 +520,7 @@ let batch_commit ws ~(fsal : Mat.t) ~alpha ~beta ~expo ~dt_max ~t1
     end
   done
 
-let adaptive_cols ?(pair = Rk45) ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0s
+let adaptive_cols ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0s
     ?(dt_max = infinity) ?(max_steps = 10_000_000) ?ws sys ~ys ~cols ~t0 ~t1 =
   if dt_max <= 0.0 then
     invalid_arg "Ode.adaptive_cols: dt_max must be positive";
@@ -672,11 +547,8 @@ let adaptive_cols ?(pair = Rk45) ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0s
   done;
   ws.brounds <- 0;
   if t1 > t0 && ws.bworking.Active.n > 0 then begin
-    let expo =
-      1.0 /. float_of_int ((match pair with Rk45 -> 4 | Rk23 -> 2) + 1)
-    in
+    let expo = 1.0 /. 5.0 in
     let alpha = 0.7 *. expo and beta = 0.4 *. expo in
-    let fsal = match pair with Rk45 -> ws.bk7 | Rk23 -> ws.bk4 in
     (* FSAL: only the first round pays for k1; accepted columns refresh
        their k1 column from the last stage of the attempt. *)
     sys.bderiv ~ys ~dys:ws.bk1 ~cols:ws.bworking;
@@ -693,10 +565,8 @@ let adaptive_cols ?(pair = Rk45) ?(rtol = 1e-8) ?(atol = 1e-12) ?dt0s
           let remain = t1 -. ws.bts.(k) in
           ws.bhh.(k) <- (if ws.bhs.(k) > remain then remain else ws.bhs.(k))
         done;
-        (match pair with
-        | Rk45 -> dp_attempt_cols sys ws ~rtol ~atol ys
-        | Rk23 -> bs_attempt_cols sys ws ~rtol ~atol ys);
-        batch_commit ws ~fsal ~alpha ~beta ~expo ~dt_max ~t1 ys
+        dp_attempt_cols sys ws ~rtol ~atol ys;
+        batch_commit ws ~alpha ~beta ~expo ~dt_max ~t1 ys
       end
     done
   end;

@@ -65,10 +65,6 @@ val observe :
 
 (** {1 Adaptive methods} *)
 
-type pair =
-  | Rk23  (** Bogacki–Shampine 3(2): 3 fresh stages/step (FSAL). *)
-  | Rk45  (** Dormand–Prince 5(4): 6 fresh stages/step (FSAL). *)
-
 type stats = {
   accepted : int;  (** Steps taken. *)
   rejected : int;  (** Attempts discarded by the error test. *)
@@ -79,7 +75,6 @@ val no_stats : stats
 (** All-zero statistics, the identity for aggregation. *)
 
 val adaptive :
-  ?pair:pair ->
   ?rtol:float ->
   ?atol:float ->
   ?dt0:float ->
@@ -92,36 +87,24 @@ val adaptive :
   t0:float ->
   t1:float ->
   stats
-(** Embedded Runge–Kutta pair with PI (Gustafsson) step-size control.
-    Advances [y] in place from [t0] to [t1]; the final step is shortened to
-    land exactly on [t1]. The error test uses the scaled max norm
-    [max_i |e_i| / (atol + rtol·|y_i|)]; accepted steps grow or shrink the
-    step through a PI controller clamped to the factor range [0.2, 5.0]
-    (no growth immediately after a rejection), rejected steps shrink it.
-    Both pairs are FSAL: an accepted step's last stage is reused as the
-    next step's first, so only the very first step pays the extra
-    evaluation. Passing [ws] reuses caller-allocated scratch space, making
-    the whole run allocation-free.
+(** The embedded Dormand–Prince 5(4) pair with PI (Gustafsson) step-size
+    control. Advances [y] in place from [t0] to [t1]; the final step is
+    shortened to land exactly on [t1]. The error test uses the scaled max
+    norm [max_i |e_i| / (atol + rtol·|y_i|)]; accepted steps grow or
+    shrink the step through a PI controller clamped to the factor range
+    [0.2, 5.0] (no growth immediately after a rejection), rejected steps
+    shrink it. The pair is FSAL: an accepted step's last stage is reused
+    as the next step's first, so each attempt costs 6 fresh derivative
+    evaluations and only the very first step pays a 7th. Passing [ws]
+    reuses caller-allocated scratch space, making the whole run
+    allocation-free.
 
-    Defaults: [pair = Rk45], [rtol = 1e-8], [atol = 1e-12],
+    Defaults: [rtol = 1e-8], [atol = 1e-12],
     [dt0 = (t1-t0)/100], [dt_max = ∞], [max_steps = 10_000_000].
 
     @raise Failure if the step size falls below [dt_min] (default: the
     representable-progress threshold [1e-14·max(1,|t|)]) or [max_steps]
     attempts are made. *)
-
-val dopri5 :
-  ?rtol:float ->
-  ?atol:float ->
-  ?dt0:float ->
-  ?max_steps:int ->
-  system ->
-  y:Vec.t ->
-  t0:float ->
-  t1:float ->
-  int
-(** [adaptive ~pair:Rk45] returning only the accepted-step count; kept for
-    callers that don't need {!stats}. Defaults as in {!adaptive}. *)
 
 (** {1 Batched lockstep integration}
 
@@ -181,7 +164,6 @@ type batch_workspace = {
 val batch_workspace : batch_system -> batch_workspace
 
 val adaptive_cols :
-  ?pair:pair ->
   ?rtol:float ->
   ?atol:float ->
   ?dt0s:float array ->
@@ -195,7 +177,7 @@ val adaptive_cols :
   t1:float ->
   batch_workspace
 (** Advance every column of [ys] listed in [cols] from [t0] to [t1] in
-    lockstep, with the same embedded pairs and PI step control as
+    lockstep, with the same embedded pair and PI step control as
     {!adaptive} applied per column ([dt0s] gives each column its own
     initial step; default [(t1-t0)/100] for all). [cols] itself is not
     modified; the call works on an internal copy and drops columns as

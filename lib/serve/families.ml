@@ -129,7 +129,6 @@ let batch_specs :
     (string * ((string * float) list -> int -> float array -> Model.t array))
     list =
   [
-    ("mm1", fun _ depth lambdas -> Mm1.batch ~lambdas ~dim:depth ());
     ("simple", fun _ depth lambdas -> Simple_ws.batch ~lambdas ~dim:depth ());
     ( "erlang",
       fun ps depth lambdas ->

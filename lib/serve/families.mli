@@ -24,11 +24,11 @@ type t = {
   build_batch : float array -> Meanfield.Model.t array;
       (** One model per λ, sharing the family's pinned depth, for
           {!Meanfield.Drive.fixed_point_batch}. Families with a
-          hand-batched [deriv_cols] kernel (mm1, simple, erlang,
-          steal-half) attach it here; the rest bridge each column
-          through the scalar [build]. Hand-batched members share kernel
-          scratch and are positional — solve each returned batch whole,
-          one at a time. *)
+          hand-batched [deriv_cols] kernel (simple, erlang, steal-half)
+          attach it here; the rest bridge each column through the
+          scalar [build]. Hand-batched members share kernel scratch and
+          are positional — solve each returned batch whole, one at a
+          time. *)
 }
 
 val default_depth : int

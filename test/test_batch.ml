@@ -30,7 +30,7 @@ let check_col_bits msg (expect : Vec.t) (m : Mat.t) k =
 (* One column in lockstep must be the scalar integration, bit for bit:
    same stages, same error norm, same PI controller decisions. The test
    system is a real model derivative (nonlinear, coupled). *)
-let test_single_column_matches_scalar pair () =
+let test_single_column_matches_scalar () =
   let model = Simple_ws.model ~lambda:0.8 ~dim:12 () in
   let sys = Model.as_system model in
   let y = model.Model.initial_empty () in
@@ -38,7 +38,7 @@ let test_single_column_matches_scalar pair () =
   let rtol = 1e-8 and atol = 1e-12 and dt0 = 0.02 in
   let y_scalar = Vec.copy y in
   let stats =
-    Ode.adaptive ~pair ~rtol ~atol ~dt0 sys ~y:y_scalar ~t0:0.0 ~t1:7.5
+    Ode.adaptive ~rtol ~atol ~dt0 sys ~y:y_scalar ~t0:0.0 ~t1:7.5
   in
   let bderiv, _ = Model.batch_deriv [| model |] in
   let bsys = { Ode.bdim = model.Model.dim; bcols = 1; bderiv } in
@@ -46,7 +46,7 @@ let test_single_column_matches_scalar pair () =
   Mat.set_col ys 0 y;
   let cols = Active.create 1 in
   let ws =
-    Ode.adaptive_cols ~pair ~rtol ~atol ~dt0s:[| dt0 |] bsys ~ys ~cols ~t0:0.0
+    Ode.adaptive_cols ~rtol ~atol ~dt0s:[| dt0 |] bsys ~ys ~cols ~t0:0.0
       ~t1:7.5
   in
   check_col_bits "final state bits" y_scalar ys 0;
@@ -76,7 +76,7 @@ let test_columns_do_not_interact () =
       cols_models;
     let cols = Active.create k in
     ignore
-      (Ode.adaptive_cols ~pair:Ode.Rk45 ~rtol:1e-7 ~atol:1e-12
+      (Ode.adaptive_cols ~rtol:1e-7 ~atol:1e-12
          ~dt0s:(Array.make k 0.05) bsys ~ys ~cols ~t0:0.0 ~t1:12.0);
     ys
   in
@@ -125,12 +125,6 @@ let hand_batched_case name build_batch build_one lambdas () =
     fps
 
 let grid = [| 0.55; 0.7; 0.85 |]
-
-let test_mm1_batch =
-  hand_batched_case "mm1"
-    (fun lambdas -> Mm1.batch ~lambdas ~dim:40 ())
-    (fun lambda -> Mm1.model ~lambda ~dim:40 ())
-    grid
 
 let test_simple_batch =
   hand_batched_case "simple"
@@ -229,48 +223,18 @@ let test_registry_zoo () =
         fps)
     (Experiments.Registry.models_at ~lambda)
 
-(* ---------- batched sweep drop-in ---------- *)
-
-let test_sweep_batched_matches_serial () =
-  let lambdas = [ 0.5; 0.75; 0.9 ] in
-  let dim = Experiments.Sweep.pinned_dim lambdas in
-  let serial =
-    Experiments.Sweep.along_lambda
-      ~build:(fun lambda -> Simple_ws.model ~lambda ~dim ())
-      lambdas
-  in
-  let batched =
-    Experiments.Sweep.along_lambda_batched
-      ~build_batch:(fun lambdas -> Simple_ws.batch ~lambdas ~dim ())
-      lambdas
-  in
-  List.iter2
-    (fun (l1, fp1) (l2, fp2) ->
-      Alcotest.(check (float 0.0)) "same grid order" l1 l2;
-      let m = Simple_ws.model ~lambda:l1 ~dim () in
-      let e1 = Model.mean_time m fp1.Drive.state
-      and e2 = Model.mean_time m fp2.Drive.state in
-      Alcotest.(check bool)
-        (Printf.sprintf "lambda=%g agrees" l1)
-        true
-        (Float.abs (e1 -. e2) /. Float.max e1 1.0 < 1e-6))
-    serial batched
-
 let () =
   Alcotest.run "batch"
     [
       ( "lockstep-stepper",
         [
           Alcotest.test_case "rk45 single column bitwise" `Quick
-            (test_single_column_matches_scalar Ode.Rk45);
-          Alcotest.test_case "rk23 single column bitwise" `Quick
-            (test_single_column_matches_scalar Ode.Rk23);
+            test_single_column_matches_scalar;
           Alcotest.test_case "columns independent bitwise" `Quick
             test_columns_do_not_interact;
         ] );
       ( "fixed-point-batch",
         [
-          Alcotest.test_case "mm1 multi-lambda" `Quick test_mm1_batch;
           Alcotest.test_case "simple multi-lambda" `Quick test_simple_batch;
           Alcotest.test_case "erlang multi-lambda" `Quick test_erlang_batch;
           Alcotest.test_case "steal-half multi-lambda" `Quick
@@ -280,7 +244,5 @@ let () =
           Alcotest.test_case "converged column bit-frozen" `Quick
             test_converged_column_bit_frozen;
           Alcotest.test_case "registry zoo via bridge" `Slow test_registry_zoo;
-          Alcotest.test_case "batched sweep drop-in" `Quick
-            test_sweep_batched_matches_serial;
         ] );
     ]

@@ -35,9 +35,9 @@ let check_contains out needle =
     (Printf.sprintf "output mentions %S" needle)
     true (contains out needle)
 
-let test_fixpoint_anderson () =
+let test_fixed_point_anderson () =
   let code, out =
-    run "fixpoint --model threshold --lambda 0.9 --threshold 4 --stats"
+    run "fixed-point --model threshold --lambda 0.9 --threshold 4 --stats"
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains out "solver:    anderson";
@@ -45,30 +45,33 @@ let test_fixpoint_anderson () =
   check_contains out "iterations:";
   check_contains out "evals:"
 
-let test_fixpoint_rk4_matches_default () =
-  (* both solver paths must print the same E[T] line for the same model *)
+let test_fixed_point_rk4_matches_default () =
+  (* every solver path must print the same E[T] line for the same model *)
   let et solver =
     let code, out =
-      run (Printf.sprintf "fixpoint --model simple --lambda 0.8 --solver %s"
-             solver)
+      run
+        (Printf.sprintf "fixed-point --model simple --lambda 0.8 --solver %s"
+           solver)
     in
     Alcotest.(check int) (solver ^ " exit code") 0 code;
     check_contains out ("solver:    " ^ solver);
     let line =
-      List.find (fun l -> contains l "E[T]:") (String.split_on_char '\n' out)
+      List.find
+        (fun l -> contains l "E[T] time in system:")
+        (String.split_on_char '\n' out)
     in
-    Scanf.sscanf (String.trim line) "E[T]: %f" (fun x -> x)
+    Scanf.sscanf (String.trim line) "E[T] time in system: %f" (fun x -> x)
   in
   let a = et "rk4" and b = et "rk45" and c = et "anderson" in
   Alcotest.(check (float 1e-5)) "rk45 agrees" a b;
   Alcotest.(check (float 1e-5)) "anderson agrees" a c
 
-let test_fixpoint_rejects_unknown_solver () =
-  let code, _ = run "fixpoint --model simple --lambda 0.8 --solver nope" in
+let test_fixed_point_rejects_unknown_solver () =
+  let code, _ = run "fixed-point --model simple --lambda 0.8 --solver nope" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
-let test_fixpoint_rejects_unknown_model () =
-  let code, _ = run "fixpoint --model no-such-model --lambda 0.8" in
+let test_fixed_point_rejects_unknown_model () =
+  let code, _ = run "fixed-point --model no-such-model --lambda 0.8" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
 (* Invalid input ends in one "<program>: <reason>" line and a cmdliner
@@ -162,16 +165,18 @@ let test_daemon_keeps_regular_file () =
 let () =
   Alcotest.run "cli"
     [
+      (* the fixed-point solve through [fixed-point]; the group keeps
+         its short name so the case names stay stable *)
       ( "fixpoint",
         [
           Alcotest.test_case "anderson with stats" `Quick
-            test_fixpoint_anderson;
+            test_fixed_point_anderson;
           Alcotest.test_case "solvers agree on E[T]" `Quick
-            test_fixpoint_rk4_matches_default;
+            test_fixed_point_rk4_matches_default;
           Alcotest.test_case "rejects unknown solver" `Quick
-            test_fixpoint_rejects_unknown_solver;
+            test_fixed_point_rejects_unknown_solver;
           Alcotest.test_case "rejects unknown model" `Quick
-            test_fixpoint_rejects_unknown_model;
+            test_fixed_point_rejects_unknown_model;
         ] );
       ( "bad input",
         List.map rejects
@@ -182,7 +187,7 @@ let () =
             "simulate --warmup 200 --horizon 100";
             "simulate --runs 0";
             "simulate --service bogus";
-            "fixpoint --lambda 1.5";
+            "fixed-point --lambda 1.5";
           ] );
       ( "serve",
         [

@@ -17,8 +17,8 @@ open Numerics
 
 let check_close eps = Alcotest.(check (float eps))
 
-let fixed_point ?dt ?max_time model =
-  let fp = Drive.fixed_point ?dt ?max_time model in
+let fixed_point ?max_time model =
+  let fp = Drive.fixed_point ?max_time model in
   Alcotest.(check bool)
     (Printf.sprintf "%s converged" model.Model.name)
     true fp.Drive.converged;
@@ -169,8 +169,8 @@ let test_fixed_point_from_empty_start () =
 
 (* ---------- cross-variant reductions ---------- *)
 
-let mean_time_of ?dt ?max_time model =
-  Metrics.mean_time model (fixed_point ?dt ?max_time model)
+let mean_time_of ?max_time model =
+  Metrics.mean_time model (fixed_point ?max_time model)
 
 let test_threshold2_equals_simple () =
   check_close 1e-9 "exact"
@@ -976,9 +976,10 @@ let test_continuation_matches_independent_solves () =
         (Metrics.mean_time (build lambda) cold.Drive.state)
         (Metrics.mean_time (build lambda) fp.Drive.state))
     chain;
-  let chain_evals =
-    List.fold_left (fun acc (_, fp) -> acc + fp.Drive.evals) 0 chain
-  in
+  Alcotest.(check bool)
+    "lookup finds each chain point" true
+    (List.for_all (fun (l, fp) -> Continuation.lookup chain l == fp) chain);
+  let chain_evals = Continuation.total_evals chain in
   Alcotest.(check bool)
     (Printf.sprintf "chain cheaper than independent solves (%d < %d)"
        chain_evals !cold_evals)
@@ -999,22 +1000,6 @@ let test_continuation_dim_mismatch_falls_back () =
         (Printf.sprintf "converged at %g" lambda)
         true fp.Drive.converged)
     chain
-
-let test_sweep_is_the_shared_continuation () =
-  (* Experiments.Sweep forwards to Meanfield.Continuation — the sweep
-     and the prediction service must keep sharing one implementation, so
-     the two entry points must agree bitwise *)
-  let build lambda = Simple_ws.model ~lambda ~dim:48 () in
-  let lambdas = [ 0.6; 0.75; 0.9 ] in
-  let a = Continuation.along_lambda ~build lambdas in
-  let b = Experiments.Sweep.along_lambda ~build lambdas in
-  List.iter2
-    (fun (la, fa) (lb, fb) ->
-      Alcotest.(check bool) "same lambda" true (Float.equal la lb);
-      Alcotest.(check int) "same evals" fa.Drive.evals fb.Drive.evals;
-      Alcotest.(check bool) "bitwise-equal states" true
-        (Float.equal (Vec.dist_inf fa.Drive.state fb.Drive.state) 0.0))
-    a b
 
 let test_model_rejects_bad_lambda () =
   Alcotest.check_raises "lambda >= 1"
@@ -1278,8 +1263,6 @@ let () =
             test_continuation_matches_independent_solves;
           Alcotest.test_case "dim mismatch falls back" `Quick
             test_continuation_dim_mismatch_falls_back;
-          Alcotest.test_case "sweep shares the implementation" `Quick
-            test_sweep_is_the_shared_continuation;
         ] );
       ( "reductions",
         [

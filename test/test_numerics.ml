@@ -128,34 +128,28 @@ let test_final_step_lands_exactly () =
   Ode.integrate decay ~y ~t0:0.0 ~t1:0.95 ~dt:0.2;
   check_close 1e-4 "landing" (exp (-0.95)) y.(0)
 
-let test_dopri5_accuracy () =
+let test_adaptive_accuracy () =
   let y = [| 1.0 |] in
-  let steps = Ode.dopri5 ~rtol:1e-10 ~atol:1e-14 decay ~y ~t0:0.0 ~t1:2.0 in
-  check_close 1e-9 "dopri5 decay" (exp (-2.0)) y.(0);
-  Alcotest.(check bool) "dopri5 took steps" true (steps > 5)
+  let s = Ode.adaptive ~rtol:1e-10 ~atol:1e-14 decay ~y ~t0:0.0 ~t1:2.0 in
+  check_close 1e-9 "adaptive decay" (exp (-2.0)) y.(0);
+  Alcotest.(check bool) "adaptive took steps" true (s.Ode.accepted > 5)
 
-let test_dopri5_adapts () =
+let test_adaptive_adapts () =
   (* Loose tolerance should need far fewer steps than a tight one. *)
   let run rtol =
     let y = [| 1.0; 0.0 |] in
-    Ode.dopri5 ~rtol ~atol:1e-14 oscillator ~y ~t0:0.0 ~t1:20.0
+    (Ode.adaptive ~rtol ~atol:1e-14 oscillator ~y ~t0:0.0 ~t1:20.0)
+      .Ode.accepted
   in
   let loose = run 1e-4 and tight = run 1e-11 in
   Alcotest.(check bool) "adaptive step count" true (tight > 2 * loose)
 
 let test_adaptive_stats_account_for_every_eval () =
-  (* FSAL bookkeeping: one eval to seed k1, then 6 (Rk45) or 3 (Rk23)
-     fresh stages per attempt, accepted or rejected. *)
+  (* FSAL bookkeeping: one eval to seed k1, then 6 fresh stages per
+     attempt, accepted or rejected. *)
   let y = [| 1.0; 0.0 |] in
   let s = Ode.adaptive ~rtol:1e-8 ~atol:1e-12 oscillator ~y ~t0:0.0 ~t1:10.0 in
   Alcotest.(check int) "rk45 evals" (1 + (6 * (s.Ode.accepted + s.Ode.rejected)))
-    s.Ode.evals;
-  let y = [| 1.0; 0.0 |] in
-  let s =
-    Ode.adaptive ~pair:Ode.Rk23 ~rtol:1e-8 ~atol:1e-12 oscillator ~y ~t0:0.0
-      ~t1:10.0
-  in
-  Alcotest.(check int) "rk23 evals" (1 + (3 * (s.Ode.accepted + s.Ode.rejected)))
     s.Ode.evals
 
 let test_adaptive_rejection_occurs () =
@@ -180,18 +174,6 @@ let test_adaptive_lands_exactly_on_t1 () =
   let y = [| 0.0 |] in
   ignore (Ode.adaptive ~rtol:1e-6 unit_rate ~y ~t0:0.0 ~t1:0.777);
   check_close 1e-12 "landing" 0.777 y.(0)
-
-let test_adaptive_rk23_accuracy () =
-  let y = [| 1.0 |] in
-  let s =
-    Ode.adaptive ~pair:Ode.Rk23 ~rtol:1e-8 ~atol:1e-12 decay ~y ~t0:0.0 ~t1:2.0
-  in
-  check_close 1e-7 "rk23 decay" (exp (-2.0)) y.(0);
-  (* third order pays more steps than dopri5 at equal tolerance *)
-  let y45 = [| 1.0 |] in
-  let s45 = Ode.adaptive ~rtol:1e-8 ~atol:1e-12 decay ~y:y45 ~t0:0.0 ~t1:2.0 in
-  Alcotest.(check bool) "rk23 takes more steps" true
-    (s.Ode.accepted > s45.Ode.accepted)
 
 let test_adaptive_min_step_fails () =
   (* Forbidding steps below 0.5 at a tight tolerance must abort rather
@@ -580,8 +562,9 @@ let () =
             test_rk4_oscillator_energy;
           Alcotest.test_case "final step lands exactly" `Quick
             test_final_step_lands_exactly;
-          Alcotest.test_case "dopri5 accuracy" `Quick test_dopri5_accuracy;
-          Alcotest.test_case "dopri5 adapts step" `Quick test_dopri5_adapts;
+          (* the Dormand–Prince 5(4) pair, as Ode.adaptive *)
+          Alcotest.test_case "dopri5 accuracy" `Quick test_adaptive_accuracy;
+          Alcotest.test_case "dopri5 adapts step" `Quick test_adaptive_adapts;
           Alcotest.test_case "adaptive stats account evals" `Quick
             test_adaptive_stats_account_for_every_eval;
           Alcotest.test_case "adaptive rejects bad steps" `Quick
@@ -590,8 +573,6 @@ let () =
             test_adaptive_dt_max_clamps;
           Alcotest.test_case "adaptive lands exactly on t1" `Quick
             test_adaptive_lands_exactly_on_t1;
-          Alcotest.test_case "rk23 accuracy vs rk45" `Quick
-            test_adaptive_rk23_accuracy;
           Alcotest.test_case "adaptive fails below dt_min" `Quick
             test_adaptive_min_step_fails;
           Alcotest.test_case "observe sampling" `Quick test_observe_samples;

@@ -114,13 +114,11 @@ let zero_alloc_roots =
        active column, so a single allocation here scales with rounds x
        columns *)
     "Ode.dp_attempt_cols";
-    "Ode.bs_attempt_cols";
     "Ode.batch_commit";
     "Ode.batch_guard";
     "Active.drop";
     (* Meanfield batched derivative kernels (per-sweep inner loops) *)
     "Model.fallback_deriv_cols";
-    "Mm1.deriv_cols";
     "Simple_ws.deriv_cols";
     "Erlang_ws.deriv_cols";
     "Steal_half_ws.deriv_cols";
