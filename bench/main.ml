@@ -13,7 +13,7 @@
      main.exe kernels --json F     also write OLS estimates to F as JSON
      main.exe speedup              serial vs parallel replicate, Table 4 load
      main.exe meanfield            fixed-point solver cost: seed RK4 path vs
-                                   adaptive+Anderson with lambda-continuation
+                                   adaptive+Newton with lambda-continuation
      main.exe meanfield --json F   also write evals/wall-time metrics to F
      main.exe meanfield-batch      lockstep multi-lambda solves vs K scalar
                                    solves: stepper-sweep overhead ratio,
@@ -390,10 +390,10 @@ let run_hotpath ~json () =
    fixed-point sweeps over the paper's lambda grid. "seed" is the
    original solver path: an independent fixed-step RK4 relaxation per lambda
    at that lambda's default truncation. "new" is the current default:
-   adaptive RK45 relaxation + Anderson mixing, warm-started along the
+   adaptive RK45 relaxation + the Newton corrector, warm-started along the
    sweep by lambda-continuation (dimension pinned across the chain). The
    Table 2 evals ratio is deterministic, and CI's perf-smoke job fails
-   when it drops below its recorded 5.61. *)
+   when it drops below its recorded 48.55. *)
 let meanfield_case ~name ~seed_build ~cont_build lambdas =
   let t0 = Unix.gettimeofday () in
   let seed_evals =
@@ -423,7 +423,7 @@ let run_meanfield ~json () =
   print_endline
     "meanfield solver kernels (fixed-point sweeps over the paper's lambda \
      grid;\n\
-    \ seed = per-lambda fixed-step RK4, new = adaptive+Anderson with \
+    \ seed = per-lambda fixed-step RK4, new = adaptive+Newton with \
      lambda-continuation):";
   let lambdas = Experiments.Paper_values.table1_lambdas in
   let dim = Meanfield.Continuation.pinned_dim lambdas in
@@ -487,14 +487,14 @@ let run_meanfield ~json () =
 (* ---------- batched mean-field kernels ---------- *)
 
 (* Lockstep batched solves vs K independent scalar solves on the same
-   λ grid. The cost unit that actually changes is the stepper
-   invocation: a scalar sweep pays one derivative call per column per
-   attempted step, while the batched stepper serves every then-active
-   column with a single SoA sweep ([Drive.batch_stats.rounds]).
-   overhead_ratio = scalar evals / batched rounds is the headline —
-   per-column freezing keeps it near K even though the lockstep grid
-   follows the stiffest column. Per-column results are residual-
-   certified against the scalar tolerance, so the ratio never trades
+   λ grid. The batch's cost unit is the SoA sweep
+   ([Drive.batch_stats.rounds]): one serves every then-active column,
+   where a scalar solve pays one derivative call per attempted step.
+   The rounds are deterministic, and CI caps each grid's at its
+   recorded value; overhead_ratio = scalar evals / batched rounds
+   compares the two paths (near 1.7 since the scalar solver finishes
+   with the Newton corrector). Per-column results are residual-
+   certified against the scalar tolerance, so neither side trades
    accuracy for speed.
 
    Sweeps are not cost: each side also reports its wall clock and its

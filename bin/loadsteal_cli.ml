@@ -51,13 +51,14 @@ let fixed_point_cmd =
     Arg.(
       value
       & opt
-          (enum [ ("rk4", `Rk4); ("rk45", `Rk45); ("anderson", `Anderson) ])
-          `Anderson
+          (enum [ ("rk4", `Rk4); ("rk45", `Rk45); ("newton", `Newton) ])
+          `Newton
       & info [ "solver" ] ~docv:"SOLVER"
           ~doc:
             "Fixed-point solver: $(b,rk4) (fixed-step relaxation, the seed \
-             path), $(b,rk45) (adaptive relaxation) or $(b,anderson) \
-             (adaptive relaxation + Anderson mixing, the default).")
+             path), $(b,rk45) (adaptive relaxation) or $(b,newton) \
+             (adaptive relaxation to a hand-over residual, then a Newton \
+             corrector on a sparse Jacobian; the default).")
   in
   let stats =
     Arg.(

@@ -48,8 +48,11 @@ let model ~event_rate ~mean_batch ?(threshold = 2) ?dim () =
       ~name:
         (Printf.sprintf "batch_ws(rate=%g, batch=%g, T=%d)" event_rate
            mean_batch threshold)
-      ~lambda:rho ~dim
+      ~kind:"batch" ~ints:[ threshold ] ~lambda:rho ~dim
       ~deriv:(fun ~y ~dy -> deriv ~event_rate ~fail ~t:threshold ~y ~dy)
+      ~probe:(fun ~y ~dy ->
+        (* mean batch 2: continuation 1/2 per extra task *)
+        deriv ~event_rate:Model.generic ~fail:0.5 ~t:threshold ~y ~dy)
       ()
   in
   base

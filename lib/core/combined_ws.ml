@@ -17,10 +17,10 @@ let deriv ~lambda ~t ~d ~k ~y ~dy =
       let a = max i t in
       let b = i + k - 1 in
       if b < a then 0.0
-      else
-        attempt
-        *. (Tail.ipow (1.0 -. Tail.get y ~ratio (b + 1)) d
-           -. Tail.ipow (1.0 -. Tail.get y ~ratio a) d)
+      else begin
+        let above = Tail.get y ~ratio (b + 1) and at_a = Tail.get y ~ratio a in
+        attempt *. Tail.pow_diff above at_a d
+      end
     in
     dy.(i) <- arrive -. drain +. thief_gain -. victim_loss
   done
@@ -41,7 +41,10 @@ let model ~lambda ~threshold ~choices ~steal_count ?dim () =
     ~name:
       (Printf.sprintf "combined_ws(lambda=%g, T=%d, d=%d, k=%d)" lambda
          threshold choices steal_count)
-    ~lambda ~dim
+    ~kind:"combined" ~ints:[ threshold; choices; steal_count ] ~lambda ~dim
     ~deriv:(fun ~y ~dy ->
       deriv ~lambda ~t:threshold ~d:choices ~k:steal_count ~y ~dy)
+    ~probe:(fun ~y ~dy ->
+      deriv ~lambda:Model.generic ~t:threshold ~d:choices ~k:steal_count ~y
+        ~dy)
     ()

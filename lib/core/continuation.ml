@@ -23,7 +23,7 @@ let nearest_start ~candidates ~dim lambda =
 let along_lambda ~build lambdas =
   (* Solve serially in ascending lambda so each point starts from its
      neighbour's fixed point: the fixed-point curve is continuous in
-     lambda, so the warm start is already inside the Anderson basin for
+     lambda, so the warm start is already below the hand-over residual for
      every point but the first. The input order is restored afterwards,
      so callers see results positionally aligned with [lambdas] whatever
      order the continuation visited them in. *)

@@ -4,8 +4,8 @@
     continuously (and smoothly, away from stability boundaries) with the
     arrival rate λ. Starting a solve from the fixed point of a {e nearby}
     λ therefore skips the relaxation transport phase — the dominant cost
-    near λ → 1 — and lands directly in the Anderson basin, where
-    convergence takes a handful of derivative evaluations.
+    near λ → 1 — and lands directly below the hand-over residual, where
+    the Newton corrector converges in a handful of steps.
 
     Two callers share this logic: the serial λ-sweeps of the paper
     tables and experiments ({!along_lambda}, whose nearest neighbour is

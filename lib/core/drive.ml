@@ -1,11 +1,11 @@
 open Numerics
 
-type solver = [ `Rk4 | `Rk45 | `Anderson ]
+type solver = [ `Rk4 | `Rk45 | `Newton ]
 
 let solver_name = function
   | `Rk4 -> "rk4"
   | `Rk45 -> "rk45"
-  | `Anderson -> "anderson"
+  | `Newton -> "newton"
 
 type fixed_point = {
   state : Vec.t;
@@ -30,9 +30,9 @@ let initial model = function
         invalid_arg "Drive: start state has wrong dimension";
       Vec.copy s
 
-(* Residual level below which the iteration is close enough to the fixed
-   point for algebraic acceleration (Anderson, Aitken) to be trustworthy:
-   the dynamics are in the linear contraction regime. *)
+(* Residual below which relaxation hands a cold solve to the Newton
+   corrector: the dynamics are in the linear contraction regime, where
+   the corrector's first step is already close to a Newton step. *)
 let basin_residual = 1e-4
 let default_basin = basin_residual
 
@@ -46,8 +46,133 @@ let relax_atol = 1e-12
 (* Chunk length between residual checks during relaxation. *)
 let check_every_default = 25.0
 
+let flat_tail model y =
+  List.exists
+    (fun (off, depth) ->
+      let a = y.(off + depth) and b = y.(off + depth - 1) in
+      b > 0.0
+      && a >= 0.99999 *. b
+      && a > 1e-18 *. Float.max y.(off) y.(off + 1))
+    model.Model.segments
+
+(* ---------- sparsity structures, analysed once per key ---------- *)
+
+module Smap = Map.Make (String)
+
+(* Every structure analysed in this process, by [Model.structure.key].
+   Immutable maps behind an atomic: readers never lock, and a probe
+   that loses a publishing race adopts the winner's (identical)
+   analysis. *)
+let structures : Sparse.structure Smap.t Atomic.t = Atomic.make Smap.empty
+let probe_evals_total = Atomic.make 0
+
+let structure_of model =
+  let { Model.key; probe } = model.Model.structure in
+  match Smap.find_opt key (Atomic.get structures) with
+  | Some st -> st
+  | None ->
+      let n = model.Model.dim in
+      let calls = ref 0 in
+      let counted ~y ~dy =
+        incr calls;
+        probe ~y ~dy
+      in
+      let st =
+        Sparse.analyse (Sparse.find_pattern ~n counted (Sparse.generic_state n))
+      in
+      ignore (Atomic.fetch_and_add probe_evals_total !calls);
+      let rec publish () =
+        let cur = Atomic.get structures in
+        match Smap.find_opt key cur with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set structures cur (Smap.add key st cur)
+            then st
+            else publish ()
+      in
+      publish ()
+
+let probe_evals () = Atomic.get probe_evals_total
+
+(* Float scratch for the corrector's Jacobians and factorisations, one
+   per concurrently running corrector (a lock-free stack; every push
+   conses a fresh cell, so a compare-and-set cannot be fooled by a
+   recycled list). A work that is too small for the structure at hand
+   is replaced by one sized to the larger of the two, so the stack
+   holds works sized to the largest structure solved so far. *)
+let spare_work : Sparse.work list Atomic.t = Atomic.make []
+
+let rec take_work st =
+  match Atomic.get spare_work with
+  | [] -> Sparse.work st
+  | w :: rest as cur ->
+      if Atomic.compare_and_set spare_work cur rest then Sparse.grow st w
+      else take_work st
+
+let rec give_back w =
+  let cur = Atomic.get spare_work in
+  if not (Atomic.compare_and_set spare_work cur (w :: cur)) then give_back w
+
+let max_newton_steps = 60
+
+(* Pseudo-transient Newton: x ← x + δ with (σI − J)δ = f(x). σ follows
+   the residual down (floored at 1e-7), so far from the answer the step
+   is a damped implicit-Euler step and near it a Newton step; the σ term
+   also keeps the rows a model holds at zero (s₀, conserved masses)
+   well-posed. A step is taken only when it stays in the model's domain
+   and does not double the residual; otherwise σ grows tenfold and the
+   same Jacobian is refactorised. [x] and [fx] enter as the start and
+   f(start) and leave as the last accepted iterate; returns its residual
+   and whether it reached [tol] within [max_newton_steps] steps. *)
+let newton model ~f ~tol ~iterations ~x ~fx =
+  let n = model.Model.dim in
+  let st = structure_of model in
+  let w = take_work st in
+  Fun.protect
+    ~finally:(fun () -> give_back w)
+    (fun () ->
+      let trial = Vec.create n and ftrial = Vec.create n in
+      let delta = Vec.create n in
+      let xp = Vec.create n and fp = Vec.create n in
+      let r = ref (Vec.norm_inf fx) in
+      let sigma = ref (Float.max 1e-7 !r) in
+      let jac_at_x = ref false in
+      let steps = ref 0 in
+      while !r > tol && !steps < max_newton_steps do
+        incr steps;
+        incr iterations;
+        if not !jac_at_x then begin
+          Sparse.jacobian st w ~f ~x ~fx ~xp ~fp;
+          jac_at_x := true
+        end;
+        let accepted =
+          Sparse.factor st w ~sigma:!sigma
+          && begin
+               Sparse.solve st w ~b:fx ~x:delta;
+               for i = 0 to n - 1 do
+                 let v = x.(i) +. delta.(i) in
+                 trial.(i) <- (if v > 0.0 then v else 0.0)
+               done;
+               model.Model.validate trial
+               && begin
+                    f ~y:trial ~dy:ftrial;
+                    Vec.norm_inf ftrial <= 2.0 *. !r
+                  end
+             end
+        in
+        if accepted then begin
+          Vec.blit ~src:trial ~dst:x;
+          Vec.blit ~src:ftrial ~dst:fx;
+          r := Vec.norm_inf fx;
+          sigma := Float.max 1e-7 !r;
+          jac_at_x := false
+        end
+        else sigma := !sigma *. 10.0
+      done;
+      (!r, !r <= tol))
+
 let fixed_point ?(tol = 1e-11) ?(max_time = 2e5) ?(accelerate = true)
-    ?(solver = `Anderson) ?(start = `Warm) ?(basin = basin_residual) model =
+    ?(solver = `Newton) ?(start = `Warm) ?(basin = basin_residual) model =
   let dt = model.Model.suggested_dt in
   let n = model.Model.dim in
   let y = initial model start in
@@ -157,11 +282,14 @@ let fixed_point ?(tol = 1e-11) ?(max_time = 2e5) ?(accelerate = true)
     in
     loop ()
   in
-  (* Hybrid: short adaptive relaxation into the basin, then Anderson
-     mixing on the algebraic map g(s) = s + h·f(s) (whose fixed points
-     are exactly the zeros of f). Falls back to the relaxation path when
-     Anderson stalls, produces invalid states, or diverges. *)
-  let solve_anderson () =
+  (* Hybrid: adaptive relaxation down to the hand-over residual [basin],
+     then the Newton corrector. The corrector's answer is refused when
+     it did not converge within its step budget or when a tail segment
+     ends flat — the closure clamp makes any flat deep tail an exact
+     zero of the truncated equations, which relaxation from a decaying
+     state does not reach — and the relaxation path then finishes from
+     the hand-over state. *)
+  let solve_newton () =
     let r = ref (resid y) in
     incr iterations;
     while !r > basin && budget_left () > 0.0 do
@@ -174,94 +302,32 @@ let fixed_point ?(tol = 1e-11) ?(max_time = 2e5) ?(accelerate = true)
     if !r <= tol then finish ~r:!r ~converged:true `Rk45
     else if !r > basin then finish ~r:!r ~converged:false `Rk45
     else begin
-      let st = Accel.anderson ~depth:5 ~beta:1.0 n in
-      (* Map step for g(s) = s + h·f(s): roughly one mean service time.
-         Larger than the integration dt — the mixing does not need Euler
-         stability, and a bigger h lets the residual history span the
-         slow modes (stage chains) that a dt-sized step barely excites. *)
-      let h = Float.min 1.0 (4.0 *. dt) in
-      let x = Vec.copy y in
-      let gx = Vec.create n in
-      let best = Vec.copy y and best_r = ref !r in
-      let max_iters = 600 and stall_limit = 60 in
-      let fallback () =
-        (* The relaxation + Aitken path, restarted from the best mixing
-           iterate: integration damps every mode uniformly, which is
-           exactly what a depth-m history cannot do when the spectrum is
-           wide (long stage chains), and the extrapolation then finishes
-           the dominant mode. *)
-        Vec.blit ~src:best ~dst:y;
-        relax_loop `Rk45 rk45_chunk
+      let x = Vec.copy y and fx = Vec.copy dy in
+      let r', converged =
+        newton model
+          ~f:(fun ~y ~dy -> sys.Ode.deriv ~t:0.0 ~y ~dy)
+          ~tol ~iterations ~x ~fx
       in
-      let rec iterate k stall =
-        if k >= max_iters || stall >= stall_limit then fallback ()
-        else begin
-          incr iterations;
-          sys.Ode.deriv ~t:0.0 ~y:x ~dy;
-          let rx = Vec.norm_inf dy in
-          if rx <= tol then begin
-            Vec.blit ~src:x ~dst:y;
-            finish ~r:rx ~converged:true `Anderson
-          end
-          else if (not (Float.is_finite rx)) || rx > 1.0 then
-            (* The mixing escaped the basin entirely: abandon it.
-               (Transient excursions above [basin_residual] are normal —
-               type-II mixing recovers through the least squares — so
-               only an O(1) residual counts as escape.) *)
-            fallback ()
-          else begin
-            let stall =
-              if rx < !best_r *. 0.9 then begin
-                Vec.blit ~src:x ~dst:best;
-                best_r := rx;
-                0
-              end
-              else stall + 1
-            in
-            for i = 0 to n - 1 do
-              gx.(i) <- x.(i) +. (h *. dy.(i))
-            done;
-            let next = Accel.anderson_step st ~x ~gx in
-            (* Project onto the domain: every state component is a
-               population fraction, so negatives are always algebraic
-               overshoot (the deep tail sits at the scale of the mixing
-               noise) and zero is the nearest admissible value. *)
-            for i = 0 to n - 1 do
-              if next.(i) < 0.0 then next.(i) <- 0.0
-            done;
-            if model.Model.validate next then begin
-              Vec.blit ~src:next ~dst:x;
-              iterate (k + 1) stall
-            end
-            else begin
-              (* Rejected iterate: drop the history that produced it and
-                 restart from a dt-sized forward-Euler step — the mixing
-                 step h is too large for a stable plain iteration. *)
-              Accel.anderson_reset st;
-              for i = 0 to n - 1 do
-                x.(i) <- x.(i) +. (dt *. dy.(i))
-              done;
-              iterate (k + 1) (stall + 1)
-            end
-          end
-        end
-      in
-      iterate 0 0
+      if converged && not (flat_tail model x) then begin
+        Vec.blit ~src:x ~dst:y;
+        finish ~r:r' ~converged:true `Newton
+      end
+      else relax_loop `Rk45 rk45_chunk
     end
   in
   match (solver, accelerate) with
   | `Rk4, _ -> relax_loop `Rk4 rk4_chunk
   | `Rk45, _ -> relax_loop `Rk45 rk45_chunk
-  | `Anderson, true -> solve_anderson ()
-  | `Anderson, false ->
+  | `Newton, true -> solve_newton ()
+  | `Newton, false ->
       (* With acceleration ablated away the hybrid reduces to its
          relaxation phase. *)
       relax_loop `Rk45 rk45_chunk
 
 type batch_stats = { rounds : int; hand_batched : bool }
 
-(* Batched hybrid solver: the lockstep analogue of {!fixed_point} with
-   [solver = `Anderson]. All K columns relax through the batched RK45
+(* Batched hybrid solver: the lockstep counterpart of {!fixed_point}.
+   All K columns relax through the batched RK45
    transport (each with its own PI controller) until their residual
    enters their basin, then iterate column-wise Anderson mixing in
    lockstep; a column converges, escapes, or stalls on its own and drops
@@ -317,7 +383,6 @@ let fixed_point_batch ?(tol = 1e-11) ?(max_time = 2e5) ?starts ?basins models
   let res = Array.make kk infinity in
   let elapsed = Array.make kk 0.0 in
   let iterations = Array.make kk 0 in
-  let meth = Array.make kk `Rk45 in
   let basin_of k =
     match basins with Some b -> b.(k) | None -> basin_residual
   in
@@ -419,7 +484,6 @@ let fixed_point_batch ?(tol = 1e-11) ?(max_time = 2e5) ?starts ?basins models
           Mat.blit_col ~src:xs ~scol:k ~dst:ys ~dcol:k;
           res.(k) <- rx;
           status.(k) <- `Converged;
-          meth.(k) <- `Anderson;
           Active.drop bcols j
         end
         else if (not (Float.is_finite rx)) || rx > 1.0 then begin
@@ -530,7 +594,7 @@ let fixed_point_batch ?(tol = 1e-11) ?(max_time = 2e5) ?starts ?basins models
               elapsed = elapsed.(k);
               evals = evals.(k);
               iterations = iterations.(k);
-              method_used = meth.(k);
+              method_used = `Rk45;
             })
   in
   (fps, { rounds = !rounds; hand_batched = hand })

@@ -116,8 +116,9 @@ let model ~lambda ~stages ?task_depth () =
   let base =
     Model.of_single_tail
       ~name:(Printf.sprintf "erlang_ws(lambda=%g, c=%d)" lambda stages)
-      ~lambda ~dim
+      ~kind:"erlang" ~ints:[ stages ] ~lambda ~dim
       ~deriv:(fun ~y ~dy -> deriv ~lambda ~c:stages ~y ~dy)
+      ~probe:(fun ~y ~dy -> deriv ~lambda:Model.generic ~c:stages ~y ~dy)
       ~warm_ratio:(lambda ** (1.0 /. float_of_int stages))
       ~suggested_dt:(1.0 /. float_of_int ((2 * stages) + 2))
       ()

@@ -34,15 +34,6 @@ let deriv ~lambda ~mu_f ~mu_s ~t ~depth ~y ~dy =
   class_deriv ~lambda ~mu:mu_f ~t ~depth ~attempts ~pool ~off:0 ~y ~dy;
   class_deriv ~lambda ~mu:mu_s ~t ~depth ~attempts ~pool ~off ~y ~dy
 
-let seg_mean_tasks y off depth =
-  let acc = ref 0.0 in
-  for i = 1 to depth do
-    acc := !acc +. y.(off + i)
-  done;
-  let rho = Tail.seg_ratio y ~off ~depth in
-  if rho > 0.0 then acc := !acc +. (y.(off + depth) *. rho /. (1.0 -. rho));
-  !acc
-
 let model ~lambda ~fraction_fast ~mu_fast ~mu_slow ~threshold ?depth () =
   if fraction_fast <= 0.0 || fraction_fast >= 1.0 then
     invalid_arg "Heterogeneous_ws: fraction_fast must lie in (0, 1)";
@@ -115,10 +106,17 @@ let model ~lambda ~fraction_fast ~mu_fast ~mu_slow ~threshold ?depth () =
     initial_empty;
     initial_warm;
     mean_tasks =
-      (fun y -> seg_mean_tasks y 0 depth +. seg_mean_tasks y (depth + 1) depth);
+      (fun y ->
+        Tail.seg_mean_tasks y ~off:0 ~depth
+        +. Tail.seg_mean_tasks y ~off:(depth + 1) ~depth);
     predicted_tail_ratio = None;
     validate;
     suggested_dt = 0.5 /. (1.0 +. Float.max mu_fast mu_slow);
+    structure =
+      Model.structure ~kind:"hetero" ~ints:[ threshold ] ~dim (fun ~y ~dy ->
+          deriv ~lambda:Model.generic ~mu_f:Model.generic ~mu_s:Model.generic
+            ~t:threshold ~depth ~y ~dy);
+    segments = [ (0, depth); (depth + 1, depth) ];
   }
 
 let split (m : Model.t) y =
@@ -129,4 +127,4 @@ let class_mean_tasks (m : Model.t) y ~fast =
   let depth = depth_of_dim m.Model.dim in
   let off = if fast then 0 else depth + 1 in
   let mass = y.(off) in
-  if mass <= 0.0 then nan else seg_mean_tasks y off depth /. mass
+  if mass <= 0.0 then nan else Tail.seg_mean_tasks y ~off ~depth /. mass

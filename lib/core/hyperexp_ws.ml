@@ -56,15 +56,6 @@ let deriv ~lambda ~p1 ~mu1 ~mu2 ~t ~depth ~y ~dy =
       -. steal_loss
   done
 
-let seg_mean y off depth =
-  let acc = ref 0.0 in
-  for k = 1 to depth do
-    acc := !acc +. y.(off + k)
-  done;
-  let rho = Tail.seg_ratio y ~off ~depth in
-  if rho > 0.0 then acc := !acc +. (y.(off + depth) *. rho /. (1.0 -. rho));
-  !acc
-
 let model ~lambda ~p1 ~mu1 ~mu2 ?(threshold = 2) ?depth () =
   if p1 <= 0.0 || p1 >= 1.0 then
     invalid_arg "Hyperexp_ws: p1 must lie in (0, 1)";
@@ -122,10 +113,21 @@ let model ~lambda ~p1 ~mu1 ~mu2 ?(threshold = 2) ?depth () =
     deriv_cols = None;
     initial_empty;
     initial_warm;
-    mean_tasks = (fun y -> seg_mean y 0 depth +. seg_mean y depth depth);
+    mean_tasks =
+      (fun y ->
+        Tail.seg_mean_tasks y ~off:0 ~depth
+        +. Tail.seg_mean_tasks y ~off:depth ~depth);
     predicted_tail_ratio = None;
     validate;
     suggested_dt = 0.5 /. (1.0 +. Float.max mu1 mu2);
+    structure =
+      Model.structure ~kind:"hyperexp" ~ints:[ threshold ] ~dim (fun ~y ~dy ->
+          (* unequal phase rates, so no cross-phase term cancels *)
+          deriv ~lambda:Model.generic ~p1:Model.generic ~mu1:Model.generic
+            ~mu2:(2.0 *. Model.generic) ~t:threshold ~depth ~y ~dy);
+    (* u is levels 1 .. depth of the first segment, v those of the
+       second, whose level 0 is u's last *)
+    segments = [ (0, depth); (depth, depth) ];
   }
 
 let of_service ~lambda ~service ?threshold ?depth () =

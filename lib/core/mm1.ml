@@ -14,8 +14,9 @@ let model ~lambda ?dim () =
     match dim with Some d -> d | None -> Tail.suggested_dim ~lambda ()
   in
   Model.of_single_tail ~name:(Printf.sprintf "mm1(lambda=%g)" lambda)
-    ~lambda ~dim
+    ~kind:"mm1" ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~y ~dy)
+    ~probe:(fun ~y ~dy -> deriv ~lambda:Model.generic ~y ~dy)
     ~predicted_tail_ratio:(fun _ -> lambda)
     ()
 

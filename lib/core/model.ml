@@ -1,5 +1,7 @@
 open Numerics
 
+type structure = { key : string; probe : y:Vec.t -> dy:Vec.t -> unit }
+
 type t = {
   name : string;
   dim : int;
@@ -12,7 +14,17 @@ type t = {
   predicted_tail_ratio : (Vec.t -> float) option;
   validate : Vec.t -> bool;
   suggested_dt : float;
+  structure : structure;
+  segments : (int * int) list;
 }
+
+let generic = 0.6180339887498949
+
+let structure ~kind ?(ints = []) ~dim probe =
+  {
+    key = String.concat "," (kind :: List.map string_of_int (dim :: ints));
+    probe;
+  }
 
 let as_system m =
   { Ode.dim = m.dim; deriv = (fun ~t:_ ~y ~dy -> m.deriv ~y ~dy) }
@@ -20,8 +32,8 @@ let as_system m =
 let mean_time m state =
   if m.throughput <= 0.0 then nan else m.mean_tasks state /. m.throughput
 
-let of_single_tail ~name ~lambda ~dim ~deriv ?deriv_cols ?predicted_tail_ratio
-    ?warm_ratio ?(suggested_dt = 0.25) () =
+let of_single_tail ~name ~kind ?ints ~lambda ~dim ~deriv ~probe ?deriv_cols
+    ?predicted_tail_ratio ?warm_ratio ?(suggested_dt = 0.25) () =
   if dim < 4 then invalid_arg "Model.of_single_tail: dim too small";
   if lambda < 0.0 || lambda >= 1.0 then
     invalid_arg "Model.of_single_tail: need 0 <= lambda < 1 for stability";
@@ -38,6 +50,8 @@ let of_single_tail ~name ~lambda ~dim ~deriv ?deriv_cols ?predicted_tail_ratio
     predicted_tail_ratio;
     validate = (fun s -> Tail.is_valid ~mass:1.0 s);
     suggested_dt;
+    structure = structure ~kind ?ints ~dim probe;
+    segments = [ (0, dim - 1) ];
   }
 
 (* Scalar bridge for variants without a hand-batched kernel: stage each

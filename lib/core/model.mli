@@ -6,6 +6,19 @@
     Each variant module ({!Simple_ws}, {!Threshold_ws}, …) builds one of
     these records; {!Drive} integrates it, and {!Metrics} reads it out. *)
 
+type structure = {
+  key : string;
+      (** What fixes the Jacobian's sparsity pattern: the model kind,
+          its integer parameters and [dim] ({!structure} spells it).
+          Models with equal keys share one pattern, colouring and
+          symbolic LU. *)
+  probe : y:Numerics.Vec.t -> dy:Numerics.Vec.t -> unit;
+      (** The kind's derivative with every float parameter at
+          {!generic}: the pattern is probed on it, so it depends on the
+          key alone and not on which rates the first solve of the key
+          happened to have. *)
+}
+
 type t = {
   name : string;  (** Human-readable variant name with parameters. *)
   dim : int;  (** Length of the packed state vector. *)
@@ -48,7 +61,28 @@ type t = {
       (** A fixed RK4 step size safely inside the system's stability
           region (the Erlang-stage systems have event rates of order [c]
           and need proportionally smaller steps). *)
+  structure : structure;
+  segments : (int * int) list;
+      (** The tail segments [(off, depth)] the state packs: levels
+          [y.(off) .. y.(off + depth)] of one population, closed
+          geometrically past [depth]. A single-tail model has one,
+          [(0, dim - 1)]. The solver refuses a fixed point whose
+          segment ends flat (see {!Drive.fixed_point}). *)
 }
+
+val generic : float
+(** The value (0.618…) every float parameter takes in a
+    {!structure.probe}: positive, below 1 and not a round number, so no
+    term of any family vanishes by coincidence. *)
+
+val structure :
+  kind:string ->
+  ?ints:int list ->
+  dim:int ->
+  (y:Numerics.Vec.t -> dy:Numerics.Vec.t -> unit) ->
+  structure
+(** [structure ~kind ~ints ~dim probe] keys [probe] by
+    ["kind,dim,ints…"]. *)
 
 val as_system : t -> Numerics.Ode.system
 (** View for the ODE integrators. *)
@@ -60,9 +94,12 @@ val mean_time : t -> Numerics.Vec.t -> float
 
 val of_single_tail :
   name:string ->
+  kind:string ->
+  ?ints:int list ->
   lambda:float ->
   dim:int ->
   deriv:(y:Numerics.Vec.t -> dy:Numerics.Vec.t -> unit) ->
+  probe:(y:Numerics.Vec.t -> dy:Numerics.Vec.t -> unit) ->
   ?deriv_cols:(ys:Numerics.Mat.t ->
               dys:Numerics.Mat.t ->
               cols:Numerics.Active.t ->
@@ -74,8 +111,9 @@ val of_single_tail :
   t
 (** Builder for the common case of a single tail vector with mass 1:
     fills in initial states (warm start is a geometric tail of ratio
-    [warm_ratio], default [lambda]), mean-task accounting and
-    validation. *)
+    [warm_ratio], default [lambda]), mean-task accounting, validation,
+    the one tail segment and the {!structure} of [kind], [ints] and
+    [dim] over [probe]. *)
 
 val batch_deriv :
   t array ->

@@ -8,16 +8,11 @@ let deriv ~lambda ~d ~t ~y ~dy =
   dy.(0) <- 0.0;
   dy.(1) <- (lambda *. (y.(0) -. y.(1))) -. (attempt *. miss_all);
   for i = 2 to n - 1 do
-    let drain = y.(i) -. Tail.get y ~ratio (i + 1) in
-    let arrive = lambda *. (y.(i - 1) -. y.(i)) in
+    let yi = y.(i) and next = Tail.get y ~ratio (i + 1) in
+    let drain = yi -. next in
+    let arrive = lambda *. (y.(i - 1) -. yi) in
     if i <= t - 1 then dy.(i) <- arrive -. drain
-    else begin
-      let hit =
-        Tail.ipow (1.0 -. Tail.get y ~ratio (i + 1)) d
-        -. Tail.ipow (1.0 -. y.(i)) d
-      in
-      dy.(i) <- arrive -. drain -. (hit *. attempt)
-    end
+    else dy.(i) <- arrive -. drain -. (Tail.pow_diff next yi d *. attempt)
   done
 
 let model ~lambda ~choices ~threshold ?dim () =
@@ -33,6 +28,8 @@ let model ~lambda ~choices ~threshold ?dim () =
     ~name:
       (Printf.sprintf "multi_choice_ws(lambda=%g, d=%d, T=%d)" lambda
          choices threshold)
-    ~lambda ~dim
+    ~kind:"multi-choice" ~ints:[ choices; threshold ] ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~d:choices ~t:threshold ~y ~dy)
+    ~probe:(fun ~y ~dy ->
+      deriv ~lambda:Model.generic ~d:choices ~t:threshold ~y ~dy)
     ()

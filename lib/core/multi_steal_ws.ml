@@ -35,6 +35,8 @@ let model ~lambda ~steal_count ~threshold ?dim () =
     ~name:
       (Printf.sprintf "multi_steal_ws(lambda=%g, k=%d, T=%d)" lambda
          steal_count threshold)
-    ~lambda ~dim
+    ~kind:"multisteal" ~ints:[ steal_count; threshold ] ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~k:steal_count ~t:threshold ~y ~dy)
+    ~probe:(fun ~y ~dy ->
+      deriv ~lambda:Model.generic ~k:steal_count ~t:threshold ~y ~dy)
     ()

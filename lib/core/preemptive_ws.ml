@@ -39,8 +39,10 @@ let model ~lambda ~begin_at ~offset ?dim () =
     ~name:
       (Printf.sprintf "preemptive_ws(lambda=%g, B=%d, T=%d)" lambda begin_at
          offset)
-    ~lambda ~dim
+    ~kind:"preemptive" ~ints:[ begin_at; offset ] ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~b:begin_at ~t:offset ~y ~dy)
+    ~probe:(fun ~y ~dy ->
+      deriv ~lambda:Model.generic ~b:begin_at ~t:offset ~y ~dy)
     ~predicted_tail_ratio:(fun s ->
       tail_ratio_predicted ~lambda s ~begin_at)
     ()

@@ -109,8 +109,12 @@ let model ~lambda ~rate ?dim () =
   let max_rate = Array.fold_left Float.max 0.0 rates in
   Model.of_single_tail
     ~name:(Printf.sprintf "rebalance_ws(lambda=%g)" lambda)
-    ~lambda ~dim
+    ~kind:"rebalance" ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~rates ~y ~dy)
+    ~probe:(fun ~y ~dy ->
+      deriv ~lambda:Model.generic
+        ~rates:(Array.make (dim + 2) Model.generic)
+        ~y ~dy)
     ~suggested_dt:(Float.min 0.25 (0.5 /. (1.0 +. (2.0 *. max_rate))))
     ()
 

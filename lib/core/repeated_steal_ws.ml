@@ -38,8 +38,10 @@ let model ~lambda ~retry_rate ~threshold ?dim () =
     ~name:
       (Printf.sprintf "repeated_steal_ws(lambda=%g, r=%g, T=%d)" lambda
          retry_rate threshold)
-    ~lambda ~dim
+    ~kind:"repeated" ~ints:[ threshold ] ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~r:retry_rate ~t:threshold ~y ~dy)
+    ~probe:(fun ~y ~dy ->
+      deriv ~lambda:Model.generic ~r:Model.generic ~t:threshold ~y ~dy)
     ~predicted_tail_ratio:(tail_ratio_predicted ~lambda ~retry_rate)
     ~suggested_dt:(Float.min 0.25 (1.0 /. (2.0 +. retry_rate)))
     ()

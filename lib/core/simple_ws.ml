@@ -25,8 +25,9 @@ let model ~lambda ?dim () =
   in
   Model.of_single_tail
     ~name:(Printf.sprintf "simple_ws(lambda=%g)" lambda)
-    ~lambda ~dim
+    ~kind:"simple" ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~y ~dy)
+    ~probe:(fun ~y ~dy -> deriv ~lambda:Model.generic ~y ~dy)
     ~predicted_tail_ratio:(fun s ->
       lambda /. (1.0 +. lambda -. s.(2)))
     ()

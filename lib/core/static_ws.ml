@@ -65,6 +65,15 @@ let model ~arrival ?(threshold = 2) ?(stealing = true) ?(initial_load = 0)
     suggested_dt =
       (let max_arrival = Array.fold_left Float.max 0.0 arrivals in
        Float.min 0.25 (0.5 /. (1.0 +. max_arrival)));
+    structure =
+      Model.structure ~kind:"static"
+        ~ints:[ threshold; Bool.to_int stealing ]
+        ~dim
+        (fun ~y ~dy ->
+          deriv
+            ~arrivals:(Array.make (Array.length arrivals) Model.generic)
+            ~stealing ~t:threshold ~y ~dy);
+    segments = [ (0, dim - 1) ];
   }
 
 let backlog_integral ?(dt = 0.02) ?(horizon = 200.0) model =

@@ -77,8 +77,9 @@ let model ~lambda ?(threshold = 2) ?dim () =
   in
   Model.of_single_tail
     ~name:(Printf.sprintf "steal_half_ws(lambda=%g, T=%d)" lambda threshold)
-    ~lambda ~dim
+    ~kind:"steal-half" ~ints:[ threshold ] ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~t:threshold ~y ~dy)
+    ~probe:(fun ~y ~dy -> deriv ~lambda:Model.generic ~t:threshold ~y ~dy)
     ()
 
 let batch ~lambdas ?(threshold = 2) ?dim () =

@@ -41,9 +41,13 @@ let model ~lambda ~choices ?steal_threshold ?dim () =
         Printf.sprintf "supermarket_ws(lambda=%g, d=%d, T=%d)" lambda
           choices t
   in
-  Model.of_single_tail ~name ~lambda ~dim
+  let steal_ints = Option.to_list steal_threshold in
+  Model.of_single_tail ~name ~kind:"supermarket" ~ints:(choices :: steal_ints)
+    ~lambda ~dim
     ~deriv:(fun ~y ~dy ->
       deriv ~lambda ~d:choices ~steal:steal_threshold ~y ~dy)
+    ~probe:(fun ~y ~dy ->
+      deriv ~lambda:Model.generic ~d:choices ~steal:steal_threshold ~y ~dy)
     ()
 
 let fixed_point_exact ~lambda ~choices ~dim =

@@ -55,6 +55,20 @@ let[@inline] ipow x d =
   done;
   !acc
 
+(* (1 - a)^d - (1 - b)^d as (b - a)·Σ_{k<d} (1 - a)^k (1 - b)^(d-1-k),
+   the sum by running products (S_m = S_{m-1}·(1 - b) + (1 - a)^(m-1)):
+   the subtraction of two nearly equal powers cancels to noise once a
+   and b fall below ~1e-8, the factored form keeps full precision. *)
+let[@inline] pow_diff a b d =
+  let p = 1.0 -. a and q = 1.0 -. b in
+  let acc = ref 0.0 and pk = ref 1.0 and m = ref d in
+  while !m <> 0 do
+    acc := (!acc *. q) +. !pk;
+    pk := !pk *. p;
+    m := !m - 1
+  done;
+  (b -. a) *. !acc
+
 (* Multi-segment states pack one tail per segment at
    [y.(off) .. y.(off + depth)]. The clamp is a bare comparison, which
    returns what [Float.min 0.999999] would on every input, NaN
@@ -69,6 +83,15 @@ let[@inline] seg_ratio (y : Vec.t) ~off ~depth =
 
 let[@inline] seg_get (y : Vec.t) ~off ~depth i =
   if i <= depth then y.(off + i) else y.(off + depth) *. seg_ratio y ~off ~depth
+
+let seg_mean_tasks y ~off ~depth =
+  let acc = ref 0.0 in
+  for i = 1 to depth do
+    acc := !acc +. y.(off + i)
+  done;
+  let rho = seg_ratio y ~off ~depth in
+  if rho > 0.0 then acc := !acc +. (y.(off + depth) *. rho /. (1.0 -. rho));
+  !acc
 
 (* Column variants of {!boundary_ratio}/{!ext} for the batched kernels,
    mirroring the scalar arithmetic operation-for-operation so a

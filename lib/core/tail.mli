@@ -40,6 +40,12 @@ val ipow : float -> int -> float
     probability that all of [d] sampled queues miss a level in the
     d-choice families. Inlined and allocation-free. *)
 
+val pow_diff : float -> float -> int -> float
+(** [pow_diff a b d] is [(1 − a)ᵈ − (1 − b)ᵈ], computed as
+    [(b − a)·Σ_{k<d} (1 − a)ᵏ(1 − b)^(d−1−k)] so that it keeps full
+    relative precision when [a] and [b] are tiny, where the plain
+    difference of powers cancels. Inlined and allocation-free. *)
+
 val seg_ratio : Numerics.Vec.t -> off:int -> depth:int -> float
 (** {!boundary_ratio} of the tail segment packed at
     [y.(off) .. y.(off + depth)], as multi-segment models (phases,
@@ -49,6 +55,11 @@ val seg_get : Numerics.Vec.t -> off:int -> depth:int -> int -> float
 (** Level [i] of that segment: [y.(off + i)] for [i ≤ depth], else
     [y.(off + depth)·]{!seg_ratio} — these models read at most one level
     past the truncation. Inlined and allocation-free, like {!get}. *)
+
+val seg_mean_tasks : Numerics.Vec.t -> off:int -> depth:int -> float
+(** The segment's [Σ_{1≤i≤depth} y.(off + i)] plus its geometric
+    closure past [depth] at {!seg_ratio} — the segment's share of the
+    mean task count. *)
 
 val boundary_ratio_col : Numerics.Mat.t -> int -> float
 (** {!boundary_ratio} of one column of a SoA state matrix — bit-identical

@@ -74,7 +74,8 @@ let model ~lambda ~threshold ?dim () =
   in
   Model.of_single_tail
     ~name:(Printf.sprintf "threshold_ws(lambda=%g, T=%d)" lambda threshold)
-    ~lambda ~dim
+    ~kind:"threshold" ~ints:[ threshold ] ~lambda ~dim
     ~deriv:(fun ~y ~dy -> deriv ~lambda ~threshold ~y ~dy)
+    ~probe:(fun ~y ~dy -> deriv ~lambda:Model.generic ~threshold ~y ~dy)
     ~predicted_tail_ratio:(fun s -> lambda /. (1.0 +. lambda -. s.(2)))
     ()

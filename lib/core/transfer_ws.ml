@@ -56,25 +56,13 @@ let deriv ~lambda ~r ~t ~lay ~y ~dy =
     done
   done
 
-let seg_tasks y ~off ~depth =
-  let acc = ref 0.0 in
-  for i = 1 to depth do
-    acc := !acc +. y.(off + i)
-  done;
-  let a = y.(off + depth) and b = y.(off + depth - 1) in
-  if b > 1e-250 && a > 0.0 && a < b then begin
-    let rho = a /. b in
-    acc := !acc +. (a *. rho /. (1.0 -. rho))
-  end;
-  !acc
-
 let mean_tasks ~lay y =
   let { depth; stages = k } = lay in
-  let acc = ref (seg_tasks y ~off:0 ~depth) in
+  let acc = ref (Tail.seg_mean_tasks y ~off:0 ~depth) in
   for j = 1 to k do
     let off = j * (depth + 1) in
     (* the in-transit task counts once per waiting processor *)
-    acc := !acc +. y.(off) +. seg_tasks y ~off ~depth
+    acc := !acc +. y.(off) +. Tail.seg_mean_tasks y ~off ~depth
   done;
   !acc
 
@@ -141,6 +129,12 @@ let model ~lambda ~transfer_rate ~threshold ?(stages = 1) ?depth () =
     suggested_dt =
       Float.min 0.25
         (0.5 /. (1.0 +. (float_of_int stages *. transfer_rate)));
+    structure =
+      Model.structure ~kind:"transfer" ~ints:[ threshold; stages ] ~dim
+        (fun ~y ~dy ->
+          deriv ~lambda:Model.generic ~r:Model.generic ~t:threshold ~lay ~y
+            ~dy);
+    segments = List.init (stages + 1) (fun j -> (j * (depth + 1), depth));
   }
 
 (* The public splitters aggregate the waiting stages so callers see the

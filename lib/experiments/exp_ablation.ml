@@ -151,7 +151,9 @@ let print _scope ppf =
          (compute_solver ()))
     ();
   Table_fmt.render ppf
-    ~title:"E11c (ablation): dominant-mode acceleration in the driver"
+    ~title:
+      "E11c (ablation): algebraic acceleration in the driver (Newton \
+       corrector, extrapolation)"
     ~headers:[ "accelerate"; "wall s"; "relax time"; "E[T] err" ]
     ~rows:
       (List.map

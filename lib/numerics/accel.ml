@@ -35,46 +35,7 @@ let extrapolate_dominant v0 v1 v2 =
         v2.(i) +. ((v2.(i) -. v1.(i)) *. gain))
   end
 
-(* ---------- Anderson mixing ---------- *)
-
-type anderson = {
-  dim : int;
-  depth : int;
-  beta : float;
-  reg : float;
-  dx : Vec.t array;  (* ring buffer of iterate differences x_k - x_{k-1} *)
-  df : Vec.t array;  (* matching residual differences f_k - f_{k-1} *)
-  mutable stored : int;
-  mutable head : int;
-  prev_x : Vec.t;
-  prev_f : Vec.t;
-  mutable have_prev : bool;
-}
-
-let anderson ?(depth = 5) ?(beta = 1.0) ?(reg = 1e-10) dim =
-  if depth <= 0 then invalid_arg "Accel.anderson: depth must be positive";
-  if dim <= 0 then invalid_arg "Accel.anderson: dim must be positive";
-  if reg < 0.0 then invalid_arg "Accel.anderson: reg must be non-negative";
-  {
-    dim;
-    depth;
-    beta;
-    reg;
-    dx = Array.init depth (fun _ -> Vec.create dim);
-    df = Array.init depth (fun _ -> Vec.create dim);
-    stored = 0;
-    head = 0;
-    prev_x = Vec.create dim;
-    prev_f = Vec.create dim;
-    have_prev = false;
-  }
-
-let anderson_reset st =
-  st.stored <- 0;
-  st.head <- 0;
-  st.have_prev <- false
-
-let anderson_depth_in_use st = st.stored
+(* ---------- column-wise Anderson mixing ---------- *)
 
 (* Solve the m×m system a·γ = b in place by Gaussian elimination with
    partial pivoting; false when a pivot (post-regularisation) is still
@@ -118,79 +79,12 @@ let solve_small m a b gamma =
     done;
   !ok
 
-let anderson_step st ~x ~gx =
-  if Vec.dim x <> st.dim || Vec.dim gx <> st.dim then
-    invalid_arg "Accel.anderson_step: dimension mismatch";
-  let n = st.dim in
-  let f = Vec.init n (fun i -> gx.(i) -. x.(i)) in
-  if st.have_prev then begin
-    let slot = st.head in
-    for i = 0 to n - 1 do
-      st.dx.(slot).(i) <- x.(i) -. st.prev_x.(i);
-      st.df.(slot).(i) <- f.(i) -. st.prev_f.(i)
-    done;
-    st.head <- (st.head + 1) mod st.depth;
-    if st.stored < st.depth then st.stored <- st.stored + 1
-  end;
-  Vec.blit ~src:x ~dst:st.prev_x;
-  Vec.blit ~src:f ~dst:st.prev_f;
-  st.have_prev <- true;
-  let plain () = Vec.init n (fun i -> x.(i) +. (st.beta *. f.(i))) in
-  let m = st.stored in
-  if m = 0 then plain ()
-  else begin
-    (* Type-II Anderson: least-squares residual combination through the
-       regularised normal equations (ΔFᵀΔF + reg·scale·I)γ = ΔFᵀf. The
-       histories are tiny (depth ≤ ~10), so forming the Gram matrix and
-       eliminating directly is cheaper than anything fancier. *)
-    let a = Array.make_matrix m m 0.0 in
-    let b = Array.make m 0.0 in
-    for j = 0 to m - 1 do
-      for k = j to m - 1 do
-        let d = Vec.dot st.df.(j) st.df.(k) in
-        a.(j).(k) <- d;
-        a.(k).(j) <- d
-      done;
-      b.(j) <- Vec.dot st.df.(j) f
-    done;
-    let max_diag = ref 0.0 in
-    for j = 0 to m - 1 do
-      if a.(j).(j) > !max_diag then max_diag := a.(j).(j)
-    done;
-    let ridge = st.reg *. Float.max !max_diag 1e-300 in
-    for j = 0 to m - 1 do
-      a.(j).(j) <- a.(j).(j) +. ridge
-    done;
-    let gamma = Array.make m 0.0 in
-    if not (solve_small m a b gamma) then plain ()
-    else begin
-      let next =
-        Vec.init n (fun i ->
-            let correction = ref 0.0 in
-            for j = 0 to m - 1 do
-              correction :=
-                !correction
-                +. (gamma.(j)
-                    *. (st.dx.(j).(i) +. (st.beta *. st.df.(j).(i))))
-            done;
-            x.(i) +. (st.beta *. f.(i)) -. !correction)
-      in
-      let finite = ref true in
-      for i = 0 to n - 1 do
-        if not (Float.is_finite next.(i)) then finite := false
-      done;
-      if !finite then next else plain ()
-    end
-  end
-
-(* ---------- column-wise Anderson mixing ---------- *)
-
-(* The batched counterpart of {!anderson}: one mixing state per column
-   of a SoA state matrix, with the ring-buffer histories stored as
-   depth-many dim×cols slabs so column k's history is column k of every
-   slab. Semantics per column mirror {!anderson_step} exactly (type-II
-   regularised normal equations, plain-mixing fallbacks); columns only
-   share scratch, never information. *)
+(* Type-II Anderson mixing, one state per column of a SoA state matrix,
+   with the ring-buffer histories stored as depth-many dim×cols slabs so
+   column k's history is column k of every slab: the least squares runs
+   through the regularised normal equations (ΔFᵀΔF + reg·scale·I)γ =
+   ΔFᵀf, falling back to plain mixing when they are degenerate; columns
+   only share scratch, never information. *)
 type anderson_cols = {
   acdim : int;
   accols : int;
@@ -322,10 +216,3 @@ let anderson_cols_step st ~xs ~gxs ~dst ~cols =
       end
     end
   done
-
-let richardson ~order ~h_ratio coarse fine =
-  if order <= 0 then invalid_arg "Accel.richardson: order must be positive";
-  if h_ratio <= 1.0 then
-    invalid_arg "Accel.richardson: h_ratio must exceed 1";
-  let k = h_ratio ** float_of_int order in
-  ((k *. fine) -. coarse) /. (k -. 1.0)

@@ -31,43 +31,13 @@ val extrapolate_dominant : Vec.t -> Vec.t -> Vec.t -> Vec.t
     per-component Aitken when component second differences are tiny.
     Falls back to [x₂] when the ratio is not in [(−1, 1)]. *)
 
-(** {1 Anderson mixing}
+(** {1 Column-wise Anderson mixing}
 
     Accelerates fixed-point iterations [x ← g(x)] by combining the last
     [depth] residuals [f_k = g(x_k) − x_k] through a regularised least
-    squares over their differences (type-II Anderson acceleration). Where
-    Aitken extrapolates a single dominant mode from three snapshots,
-    Anderson mixes up to [depth] modes and typically converges the
-    mean-field fixed-point maps in tens of evaluations where plain
-    relaxation needs thousands of time units. *)
-
-type anderson
-(** Mutable accelerator state: iterate/residual difference histories plus
-    the previous point. Not shareable between concurrent iterations. *)
-
-val anderson : ?depth:int -> ?beta:float -> ?reg:float -> int -> anderson
-(** [anderson dim] allocates accelerator state for [dim]-vector iterates.
-    [depth] (default [5]) is the history length [m]; [beta] (default
-    [1.0]) the mixing/damping factor applied to residuals; [reg] (default
-    [1e-10]) the relative Tikhonov ridge added to the normal-equation
-    diagonal. *)
-
-val anderson_step : anderson -> x:Vec.t -> gx:Vec.t -> Vec.t
-(** [anderson_step st ~x ~gx] consumes one evaluation [gx = g(x)] and
-    returns the next iterate (freshly allocated; [x] and [gx] are not
-    modified). Falls back to plain damped mixing [x + β·(g(x) − x)]
-    whenever the least-squares solve is degenerate or produces non-finite
-    values, so a step never goes backwards catastrophically — callers
-    still must validate iterates against domain constraints. *)
-
-val anderson_reset : anderson -> unit
-(** Drop all history (e.g. after an iterate was rejected and replaced by
-    a relaxation restart); the next step is a plain mixing step. *)
-
-val anderson_depth_in_use : anderson -> int
-(** Number of history pairs currently backing the least squares. *)
-
-(** {2 Column-wise batched mixing} *)
+    squares over their differences (type-II Anderson acceleration), one
+    independent iteration per column of a SoA state matrix: the lockstep
+    batch solver's finish. *)
 
 type anderson_cols
 (** Per-column Anderson state over a SoA state matrix: the ring-buffer
@@ -83,8 +53,10 @@ val anderson_cols :
   cols:int ->
   unit ->
   anderson_cols
-(** Batched constructor; parameters as in {!anderson}, applied uniformly
-    to every column. *)
+(** [depth] (default [5]) is the history length [m]; [beta] (default
+    [1.0]) the mixing/damping factor applied to residuals; [reg] (default
+    [1e-10]) the relative Tikhonov ridge added to the normal-equation
+    diagonal. They apply uniformly to every column. *)
 
 val anderson_cols_step :
   anderson_cols ->
@@ -95,16 +67,12 @@ val anderson_cols_step :
   unit
 (** One mixing step for every column listed in [cols]: writes the next
     iterates into the corresponding columns of [dst] (other columns are
-    untouched). Column semantics — history update, type-II least
-    squares, plain-mixing fallbacks — mirror {!anderson_step} exactly;
-    the batching only shares scratch buffers. [xs]/[gxs] are not
-    modified; [dst] must not alias them. *)
+    untouched). Each column updates its history, solves its type-II
+    least squares, and falls back to plain damped mixing
+    [x + β·(g(x) − x)] whenever that solve is degenerate or produces
+    non-finite values; the batching only shares scratch buffers.
+    [xs]/[gxs] are not modified; [dst] must not alias them. *)
 
 val anderson_cols_reset : anderson_cols -> int -> unit
 (** Drop the history of one column only (after its iterate was rejected
     and restarted); the other columns' histories are preserved. *)
-
-val richardson : order:int -> h_ratio:float -> float -> float -> float
-(** [richardson ~order ~h_ratio coarse fine] removes the leading
-    [O(h^order)] error term from two approximations computed with step
-    sizes [h] (giving [coarse]) and [h / h_ratio] (giving [fine]). *)

@@ -131,6 +131,7 @@ let stats_json ?domain_requests (s : Server.stats) =
             else float_of_int s.Server.miss_evals /. float_of_int misses) );
        ("batched_solves", num s.Server.batched_solves);
        ("batched_columns", num s.Server.batched_columns);
+       ("probe_evals", num s.Server.probe_evals);
        ("cache_entries", num c.Cache.entries);
        ("cache_families", num c.Cache.families);
        ("cache_shards", num c.Cache.shards);

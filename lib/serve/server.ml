@@ -72,6 +72,7 @@ type stats = {
   miss_evals : int;
   batched_solves : int;
   batched_columns : int;
+  probe_evals : int;
 }
 
 type t = { cache : Cache.t; counters : counters }
@@ -155,7 +156,7 @@ let try_interp model chain lambda =
     else None
   end
 
-(* Which start (and Anderson basin) a miss solve should use: the
+(* Which start (and hand-over residual) a miss solve should use: the
    nearest cached λ-neighbour only wins when it is actually closer to
    the fixed point than the model's own default start — mm1's
    [initial_warm] {e is} its closed-form fixed point, and relaxing away
@@ -163,9 +164,9 @@ let try_interp model chain lambda =
    two residual checks that prove the default is already converged. The
    two extra derivative evaluations are charged to the answer. A
    neighbour start is already close to the target fixed point, so let
-   Anderson mixing engage straight away (the mixing's stall/escape
-   fallback bounds the downside); cold solves keep the solver's
-   conservative default basin. *)
+   the Newton corrector engage straight away (its fallback to
+   relaxation bounds the downside); cold solves keep the solver's
+   conservative default hand-over residual. *)
 let pick_start model chain lambda =
   let candidates = List.map (fun e -> (e.Cache.lambda, e.Cache.state)) chain in
   match Continuation.nearest_start ~candidates ~dim:model.Model.dim lambda with
@@ -412,4 +413,5 @@ let stats t : stats =
     miss_evals;
     batched_solves;
     batched_columns;
+    probe_evals = Drive.probe_evals ();
   }

@@ -56,11 +56,12 @@ type config = private {
       (** Interpolated states are accepted iff their true residual is
           ≤ [tol · guard_factor] (1e4, i.e. 1e-7 at [tol]). *)
   warm_basin : float;
-      (** Residual below which a warm-started solve enters Anderson
-          mixing directly (1e-2 — loose enough that a nearest-neighbour
-          start skips the relaxation transport phase; see
-          {!Meanfield.Drive.fixed_point}'s [basin]). Cold solves keep
-          the solver's conservative default. *)
+      (** Hand-over residual of a warm-started solve: below it the
+          solve starts the Newton corrector directly (1e-2 — loose
+          enough that a nearest-neighbour start skips the relaxation
+          transport phase; see {!Meanfield.Drive.fixed_point}'s
+          [basin]). Cold solves keep the solver's conservative
+          default. *)
 }
 (** The server's constants. Read-only: every server runs on
     {!default_config}. *)
@@ -99,6 +100,12 @@ type stats = {
           path ran (each covering ≥ 2 columns). *)
   batched_columns : int;
       (** Total columns across those batched solves. *)
+  probe_evals : int;
+      (** Derivative evaluations this process has spent probing
+          sparsity patterns ({!Meanfield.Drive.probe_evals}): once per
+          model structure, shared by every server, and charged to no
+          answer's [evals] — so an answer's cost does not depend on
+          which query happened to meet its structure first. *)
 }
 
 val create : unit -> t

@@ -35,12 +35,12 @@ let check_contains out needle =
     (Printf.sprintf "output mentions %S" needle)
     true (contains out needle)
 
-let test_fixed_point_anderson () =
+let test_fixed_point_newton () =
   let code, out =
     run "fixed-point --model threshold --lambda 0.9 --threshold 4 --stats"
   in
   Alcotest.(check int) "exit code" 0 code;
-  check_contains out "solver:    anderson";
+  check_contains out "solver:    newton";
   check_contains out "converged: true";
   check_contains out "iterations:";
   check_contains out "evals:"
@@ -62,9 +62,9 @@ let test_fixed_point_rk4_matches_default () =
     in
     Scanf.sscanf (String.trim line) "E[T] time in system: %f" (fun x -> x)
   in
-  let a = et "rk4" and b = et "rk45" and c = et "anderson" in
+  let a = et "rk4" and b = et "rk45" and c = et "newton" in
   Alcotest.(check (float 1e-5)) "rk45 agrees" a b;
-  Alcotest.(check (float 1e-5)) "anderson agrees" a c
+  Alcotest.(check (float 1e-5)) "newton agrees" a c
 
 let test_fixed_point_rejects_unknown_solver () =
   let code, _ = run "fixed-point --model simple --lambda 0.8 --solver nope" in
@@ -169,8 +169,8 @@ let () =
          its short name so the case names stay stable *)
       ( "fixpoint",
         [
-          Alcotest.test_case "anderson with stats" `Quick
-            test_fixed_point_anderson;
+          Alcotest.test_case "newton with stats" `Quick
+            test_fixed_point_newton;
           Alcotest.test_case "solvers agree on E[T]" `Quick
             test_fixed_point_rk4_matches_default;
           Alcotest.test_case "rejects unknown solver" `Quick
