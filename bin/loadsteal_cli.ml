@@ -12,8 +12,7 @@
 
 open Cmdliner
 
-let print_fixed_point name params solver stats =
-  let model = Model_args.build_model name params in
+let print_fixed_point model solver stats =
   let fp = Meanfield.Drive.fixed_point ~solver model in
   let state = fp.Meanfield.Drive.state in
   Printf.printf "model:     %s\n" model.Meanfield.Model.name;
@@ -72,11 +71,9 @@ let fixed_point_cmd =
   in
   Cmd.v
     (Cmd.info "fixed-point" ~doc)
-    Term.(const print_fixed_point $ Model_args.model_term
-          $ Model_args.params_term $ solver $ stats)
+    Term.(const print_fixed_point $ Model_args.model $ solver $ stats)
 
-let print_trajectory name params horizon sample_every start =
-  let model = Model_args.build_model name params in
+let print_trajectory model horizon sample_every start =
   let start = if start = "warm" then `Warm else `Empty in
   let samples =
     Meanfield.Drive.trajectory ~start ~horizon ~sample_every model
@@ -106,12 +103,11 @@ let trajectory_cmd =
   let doc = "Integrate a model from an initial state and print E[N](t)." in
   Cmd.v
     (Cmd.info "trajectory" ~doc)
-    Term.(const print_trajectory $ Model_args.model_term
-          $ Model_args.params_term $ horizon $ sample_every $ start)
+    Term.(const print_trajectory $ Model_args.model $ horizon
+          $ sample_every $ start)
 
-let print_simulate policy_name params n horizon warmup runs seed service
+let print_simulate policy lambda n horizon warmup runs seed service
     initial_load scheduler shards latency =
-  let policy = Model_args.build_policy policy_name params in
   let service =
     match service with
     | "exp" -> Prob.Dist.Exponential
@@ -132,7 +128,7 @@ let print_simulate policy_name params n horizon warmup runs seed service
   let config =
     {
       Wsim.Cluster.n;
-      arrival_rate = params.Model_args.lambda;
+      arrival_rate = lambda;
       spawn_rate = 0.0;
       service;
       speeds = None;
@@ -152,7 +148,7 @@ let print_simulate policy_name params n horizon warmup runs seed service
   in
   Format.printf "policy:          %a@." Wsim.Policy.pp policy;
   Printf.printf "n=%d lambda=%g service=%s runs=%d horizon=%g warmup=%g\n" n
-    params.Model_args.lambda
+    lambda
     (Format.asprintf "%a" Prob.Dist.pp_service service)
     runs horizon warmup;
   if shards > 1 then
@@ -228,9 +224,9 @@ let simulate_cmd =
   let doc = "Simulate a finite cluster under a stealing policy." in
   Cmd.v
     (Cmd.info "simulate" ~doc)
-    Term.(const print_simulate $ Model_args.policy_term
-          $ Model_args.params_term $ n $ horizon $ warmup $ runs $ seed
-          $ service $ initial_load $ scheduler $ shards $ latency)
+    Term.(const print_simulate $ Model_args.policy $ Model_args.lambda $ n
+          $ horizon $ warmup $ runs $ seed $ service $ initial_load
+          $ scheduler $ shards $ latency)
 
 let scope_term =
   let quick =
@@ -286,9 +282,7 @@ let list_cmd =
     (Cmd.info "list" ~doc:"List available experiments.")
     Term.(const list_experiments $ const ())
 
-let print_stability params horizon =
-  let lambda = params.Model_args.lambda in
-  let threshold = params.Model_args.threshold in
+let print_stability lambda threshold horizon =
   let model = Meanfield.Threshold_ws.model ~lambda ~threshold () in
   let fixed_point =
     Meanfield.Threshold_ws.fixed_point_exact ~lambda ~threshold
@@ -309,16 +303,20 @@ let print_stability params horizon =
   0
 
 let stability_cmd =
+  let threshold =
+    Arg.(value & opt int 2
+         & info [ "threshold" ] ~docv:"T"
+             ~doc:"Steal threshold of the threshold model.")
+  in
   let horizon =
     Arg.(value & opt float 200.0 & info [ "horizon" ] ~docv:"TIME"
          ~doc:"Trace horizon.")
   in
   let doc = "Print the L1 distance to the fixed point along a trajectory." in
   Cmd.v (Cmd.info "stability" ~doc)
-    Term.(const print_stability $ Model_args.params_term $ horizon)
+    Term.(const print_stability $ Model_args.lambda $ threshold $ horizon)
 
-let print_check name params =
-  let model = Model_args.build_model name params in
+let print_check model =
   let report = Meanfield.Selfcheck.run model in
   Format.printf "%a" Meanfield.Selfcheck.pp report;
   if Meanfield.Selfcheck.passed report then 0 else 1
@@ -329,7 +327,7 @@ let check_cmd =
      model."
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const print_check $ Model_args.model_term $ Model_args.params_term)
+    Term.(const print_check $ Model_args.model)
 
 let print_drain initial_load stealing n runs seed =
   let dim = max 48 (4 * initial_load) in

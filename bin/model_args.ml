@@ -1,223 +1,155 @@
-(* Shared cmdliner terms that assemble a mean-field model or a simulator
-   policy from command-line flags. *)
+(* Cmdliner terms that assemble a mean-field model or a simulator policy
+   from command-line flags. The model's parameter flags are read off
+   Meanfield.Catalog: one optional flag per parameter name, with "-" for
+   "_", typed as the catalog types it. An unset model flag takes the
+   family's own default, and a flag the family does not take fails with
+   the daemon's "unknown parameter" error. The policy flags are spelled
+   the same way but typed and defaulted by [policy_defaults]. *)
 
 open Cmdliner
+module Catalog = Meanfield.Catalog
 
-type params = {
-  lambda : float;
-  threshold : int;
-  choices : int;
-  steal_count : int;
-  retry_rate : float;
-  transfer_rate : float;
-  stages : int;
-  begin_at : int;
-  offset : int;
-  rebalance_rate : float;
-  fraction_fast : float;
-  mu_fast : float;
-  mu_slow : float;
-  batch_mean : float;
-  radius : int;
-}
+let lambda =
+  Arg.(value & opt float 0.9
+       & info [ "lambda" ] ~docv:"RATE" ~doc:"Arrival rate per processor.")
 
-let params_term =
-  let lambda =
-    Arg.(value & opt float 0.9
-         & info [ "lambda" ] ~docv:"RATE" ~doc:"Arrival rate per processor.")
-  in
-  let threshold =
-    Arg.(value & opt int 2
-         & info [ "threshold"; "T" ] ~docv:"T"
-             ~doc:"Steal threshold: victims need at least $(docv) tasks.")
-  in
-  let choices =
-    Arg.(value & opt int 2
-         & info [ "choices"; "d" ] ~docv:"D" ~doc:"Victim probes per steal.")
-  in
-  let steal_count =
-    Arg.(value & opt int 2
-         & info [ "steal-count"; "k" ] ~docv:"K"
-             ~doc:"Tasks taken per successful steal.")
-  in
-  let retry_rate =
-    Arg.(value & opt float 1.0
-         & info [ "retry-rate" ] ~docv:"RATE"
-             ~doc:"Retry rate of empty thieves (repeated model).")
-  in
-  let transfer_rate =
-    Arg.(value & opt float 0.25
-         & info [ "transfer-rate" ] ~docv:"RATE"
-             ~doc:"Task transfer completion rate (transfer model).")
-  in
-  let stages =
-    Arg.(value & opt int 10
-         & info [ "stages"; "c" ] ~docv:"C"
-             ~doc:"Erlang stages approximating constant service.")
-  in
-  let begin_at =
-    Arg.(value & opt int 1
-         & info [ "begin-at"; "B" ] ~docv:"B"
-             ~doc:"Load at which preemptive stealing starts.")
-  in
-  let offset =
-    Arg.(value & opt int 3
-         & info [ "offset" ] ~docv:"T"
-             ~doc:"Preemptive offset: victim needs load + $(docv) tasks.")
-  in
-  let rebalance_rate =
-    Arg.(value & opt float 1.0
-         & info [ "rebalance-rate" ] ~docv:"RATE"
-             ~doc:"Pairwise rebalance rate per processor.")
-  in
-  let fraction_fast =
-    Arg.(value & opt float 0.5
-         & info [ "fraction-fast" ] ~docv:"F"
-             ~doc:"Fraction of fast processors (heterogeneous model).")
-  in
-  let mu_fast =
-    Arg.(value & opt float 1.5
-         & info [ "mu-fast" ] ~docv:"MU" ~doc:"Fast-class service rate.")
-  in
-  let mu_slow =
-    Arg.(value & opt float 0.5
-         & info [ "mu-slow" ] ~docv:"MU" ~doc:"Slow-class service rate.")
-  in
-  let batch_mean =
-    Arg.(value & opt float 2.0
-         & info [ "batch-mean" ] ~docv:"MEAN"
-             ~doc:"Mean geometric batch size per arrival event.")
-  in
-  let radius =
-    Arg.(value & opt int 2
-         & info [ "radius" ] ~docv:"R"
-             ~doc:"Ring radius for locality-restricted stealing.")
-  in
-  let make lambda threshold choices steal_count retry_rate transfer_rate
-      stages begin_at offset rebalance_rate fraction_fast mu_fast mu_slow
-      batch_mean radius =
-    {
-      lambda; threshold; choices; steal_count; retry_rate; transfer_rate;
-      stages; begin_at; offset; rebalance_rate; fraction_fast; mu_fast;
-      mu_slow; batch_mean; radius;
-    }
-  in
-  Term.(
-    const make $ lambda $ threshold $ choices $ steal_count $ retry_rate
-    $ transfer_rate $ stages $ begin_at $ offset $ rebalance_rate
-    $ fraction_fast $ mu_fast $ mu_slow $ batch_mean $ radius)
+(* Each family taking parameter [pname], with its spec, in catalog
+   order. *)
+let takers pname =
+  List.filter_map
+    (fun (f : Catalog.family) ->
+      List.find_opt (fun (p : Catalog.param) -> String.equal p.pname pname)
+        f.params
+      |> Option.map (fun p -> (f.name, p)))
+    Catalog.all
 
-let model_names =
-  [ "mm1"; "simple"; "threshold"; "preemptive"; "repeated"; "erlang";
-    "transfer"; "choices"; "multisteal"; "rebalance"; "hetero";
-    "supermarket"; "supermarket-ws"; "hyperexp"; "batch"; "steal-half";
-    "transfer-staged"; "combined" ]
+(* One optional flag per [(pname, kind)] in [specs]; the term is the
+   list of those set, in [specs] order. *)
+let flags ~doc specs =
+  List.fold_right
+    (fun (pname, kind) set ->
+      let flag_info docv =
+        Arg.info
+          [ String.map (function '_' -> '-' | c -> c) pname ]
+          ~docv ~doc:(doc pname)
+      in
+      let parsed =
+        match kind with
+        | Catalog.Int ->
+            Term.(const (Option.map float_of_int)
+                  $ Arg.(value & opt (some int) None & flag_info "N"))
+        | Catalog.Float -> Arg.(value & opt (some float) None & flag_info "X")
+      in
+      Term.(const (fun v set ->
+                match v with Some v -> (pname, v) :: set | None -> set)
+            $ parsed $ set))
+    specs (Term.const [])
 
-let model_term =
-  Arg.(
-    value
-    & opt (enum (List.map (fun n -> (n, n)) model_names)) "simple"
-    & info [ "model" ] ~docv:"MODEL"
-        ~doc:
-          (Printf.sprintf "Mean-field model variant; one of %s."
-             (String.concat ", " model_names)))
+let model_doc pname =
+  let default (name, (p : Catalog.param)) =
+    match p.at_most with
+    | Some m -> Printf.sprintf "$(b,%s) %g (at most %d)" name p.default m
+    | None -> Printf.sprintf "$(b,%s) %g" name p.default
+  in
+  "Model parameter; default per model: "
+  ^ String.concat ", " (List.map default (takers pname))
+  ^ "."
 
-let build_model name (p : params) : Meanfield.Model.t =
-  match name with
-  | "mm1" -> Meanfield.Mm1.model ~lambda:p.lambda ()
-  | "simple" -> Meanfield.Simple_ws.model ~lambda:p.lambda ()
-  | "threshold" ->
-      Meanfield.Threshold_ws.model ~lambda:p.lambda ~threshold:p.threshold ()
-  | "preemptive" ->
-      Meanfield.Preemptive_ws.model ~lambda:p.lambda ~begin_at:p.begin_at
-        ~offset:p.offset ()
-  | "repeated" ->
-      Meanfield.Repeated_steal_ws.model ~lambda:p.lambda
-        ~retry_rate:p.retry_rate ~threshold:p.threshold ()
-  | "erlang" ->
-      Meanfield.Erlang_ws.model ~lambda:p.lambda ~stages:p.stages ()
-  | "transfer" ->
-      Meanfield.Transfer_ws.model ~lambda:p.lambda
-        ~transfer_rate:p.transfer_rate ~threshold:p.threshold ()
-  | "choices" ->
-      Meanfield.Multi_choice_ws.model ~lambda:p.lambda ~choices:p.choices
-        ~threshold:p.threshold ()
-  | "multisteal" ->
-      Meanfield.Multi_steal_ws.model ~lambda:p.lambda
-        ~steal_count:p.steal_count ~threshold:p.threshold ()
-  | "rebalance" ->
-      Meanfield.Rebalance_ws.model_uniform_rate ~lambda:p.lambda
-        ~rate:p.rebalance_rate ()
-  | "hetero" ->
-      Meanfield.Heterogeneous_ws.model ~lambda:p.lambda
-        ~fraction_fast:p.fraction_fast ~mu_fast:p.mu_fast ~mu_slow:p.mu_slow
-        ~threshold:p.threshold ()
-  | "supermarket" ->
-      Meanfield.Supermarket.model ~lambda:p.lambda ~choices:p.choices ()
-  | "supermarket-ws" ->
-      Meanfield.Supermarket.model ~lambda:p.lambda ~choices:p.choices
-        ~steal_threshold:p.threshold ()
-  | "hyperexp" ->
-      (* fast/slow rates double as the two phase rates; p1 via
-         fraction-fast for CLI economy *)
-      Meanfield.Hyperexp_ws.model ~lambda:p.lambda ~p1:p.fraction_fast
-        ~mu1:p.mu_fast ~mu2:p.mu_slow ~threshold:p.threshold ()
-  | "batch" ->
-      (* --lambda is the event rate; utilisation = lambda x batch-mean *)
-      Meanfield.Batch_ws.model ~event_rate:p.lambda ~mean_batch:p.batch_mean
-        ~threshold:p.threshold ()
-  | "steal-half" ->
-      Meanfield.Steal_half_ws.model ~lambda:p.lambda ~threshold:p.threshold
-        ()
-  | "transfer-staged" ->
-      Meanfield.Transfer_ws.model ~lambda:p.lambda
-        ~transfer_rate:p.transfer_rate ~threshold:p.threshold
-        ~stages:p.stages ()
-  | "combined" ->
-      Meanfield.Combined_ws.model ~lambda:p.lambda ~threshold:p.threshold
-        ~choices:p.choices ~steal_count:p.steal_count ()
-  | other -> invalid_arg ("unknown model " ^ other)
+let model =
+  let model_name =
+    Arg.(
+      value
+      & opt (enum (List.map (fun n -> (n, n)) Catalog.names)) "simple"
+      & info [ "model" ] ~docv:"MODEL"
+          ~doc:
+            (Printf.sprintf "Mean-field model family; one of %s."
+               (String.concat ", " Catalog.names)))
+  in
+  let specs =
+    List.sort_uniq
+      (fun (a, _) (b, _) -> String.compare a b)
+      (List.concat_map
+         (fun (f : Catalog.family) ->
+           List.map (fun (p : Catalog.param) -> (p.pname, p.kind)) f.params)
+         Catalog.all)
+  in
+  Term.(const (fun name lambda set -> Catalog.model ~name set lambda)
+        $ model_name $ lambda $ flags ~doc:model_doc specs)
+
+(* The simulator policies' parameters, typed, with their own defaults,
+   which differ from some families' (threshold 2, rebalance rate 1). *)
+let policy_defaults =
+  Catalog.
+    [ ("threshold", Int, 2.0); ("choices", Int, 2.0);
+      ("steal_count", Int, 2.0); ("retry_rate", Float, 1.0);
+      ("transfer_rate", Float, 0.25); ("begin_at", Int, 1.0);
+      ("offset", Int, 3.0); ("rate", Float, 1.0) ]
+
+let policy_default pname =
+  let _, _, v =
+    List.find (fun (k, _, _) -> String.equal k pname) policy_defaults
+  in
+  v
 
 let policy_names =
   [ "none"; "simple"; "onempty"; "preemptive"; "repeated"; "transfer";
     "rebalance"; "steal-half"; "ring" ]
 
-let policy_term =
-  Arg.(
-    value
-    & opt (enum (List.map (fun n -> (n, n)) policy_names)) "simple"
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:
-          (Printf.sprintf "Stealing policy; one of %s."
-             (String.concat ", " policy_names)))
-
-let build_policy name (p : params) : Wsim.Policy.t =
+let build_policy name set radius : Wsim.Policy.t =
+  let get k =
+    match List.assoc_opt k set with
+    | Some v -> v
+    | None -> policy_default k
+  in
+  let geti k = int_of_float (get k) in
   match name with
   | "none" -> Wsim.Policy.No_stealing
   | "simple" -> Wsim.Policy.simple
   | "onempty" ->
       Wsim.Policy.On_empty
         {
-          threshold = p.threshold;
-          choices = p.choices;
-          steal_count = p.steal_count;
+          threshold = geti "threshold";
+          choices = geti "choices";
+          steal_count = geti "steal_count";
         }
   | "preemptive" ->
-      Wsim.Policy.Preemptive { begin_at = p.begin_at; offset = p.offset }
+      Wsim.Policy.Preemptive
+        { begin_at = geti "begin_at"; offset = geti "offset" }
   | "repeated" ->
       Wsim.Policy.Repeated
-        { retry_rate = p.retry_rate; threshold = p.threshold }
+        { retry_rate = get "retry_rate"; threshold = geti "threshold" }
   | "transfer" ->
       Wsim.Policy.Transfer
-        { transfer_rate = p.transfer_rate; threshold = p.threshold;
+        { transfer_rate = get "transfer_rate"; threshold = geti "threshold";
           stages = 1 }
   | "steal-half" ->
       Wsim.Policy.Steal_half
-        { threshold = p.threshold; choices = p.choices }
+        { threshold = geti "threshold"; choices = geti "choices" }
   | "ring" ->
-      Wsim.Policy.Ring_steal
-        { threshold = p.threshold; radius = p.radius }
+      Wsim.Policy.Ring_steal { threshold = geti "threshold"; radius }
   | "rebalance" ->
-      let rate = p.rebalance_rate in
+      let rate = get "rate" in
       Wsim.Policy.Rebalance { rate = (fun _ -> rate) }
   | other -> invalid_arg ("unknown policy " ^ other)
+
+let policy =
+  let policy_name =
+    Arg.(
+      value
+      & opt (enum (List.map (fun n -> (n, n)) policy_names)) "simple"
+      & info [ "policy" ] ~docv:"POLICY"
+          ~doc:
+            (Printf.sprintf "Stealing policy; one of %s."
+               (String.concat ", " policy_names)))
+  in
+  let radius =
+    Arg.(value & opt int 2
+         & info [ "radius" ] ~docv:"R"
+             ~doc:"Ring radius for locality-restricted stealing.")
+  in
+  let doc pname =
+    Printf.sprintf "Policy parameter; default %g." (policy_default pname)
+  in
+  Term.(const build_policy $ policy_name
+        $ flags ~doc (List.map (fun (k, kind, _) -> (k, kind)) policy_defaults)
+        $ radius)

@@ -85,114 +85,6 @@ let all =
     };
   ]
 
-(* Every mean-field model variant the experiments above instantiate,
-   under representative parameters: the test suite runs Core.Selfcheck
-   over each entry, so registering a model here buys it the fixed-point,
-   invariant, trajectory and tail-ratio diagnostics for free. Static_ws
-   is deliberately absent — it is a finite drain with no steady state
-   for Selfcheck's fixed-point search (its experiment integrates
-   trajectories instead). *)
-(* The same sixteen variants with every arrival rate tied to one [lambda]
-   (the batch model's event rate is scaled so its effective arrival rate
-   [event_rate · mean_batch] equals [lambda]). The solver tests sweep this
-   over easy and near-critical loads; [models] below keeps the historical
-   per-model representative parameters the selfchecks pin. *)
-let models_at ~lambda =
-  [
-    ("mm1", fun () -> Meanfield.Mm1.model ~lambda ());
-    ("simple", fun () -> Meanfield.Simple_ws.model ~lambda ());
-    ("erlang", fun () -> Meanfield.Erlang_ws.model ~lambda ~stages:2 ());
-    ( "threshold",
-      fun () -> Meanfield.Threshold_ws.model ~lambda ~threshold:4 () );
-    ( "preemptive",
-      fun () -> Meanfield.Preemptive_ws.model ~lambda ~begin_at:1 ~offset:3 ()
-    );
-    ( "repeated",
-      fun () ->
-        Meanfield.Repeated_steal_ws.model ~lambda ~retry_rate:1.0 ~threshold:2
-          () );
-    ( "multisteal",
-      fun () ->
-        Meanfield.Multi_steal_ws.model ~lambda ~steal_count:2 ~threshold:4 ()
-    );
-    ( "multi-choice",
-      fun () ->
-        Meanfield.Multi_choice_ws.model ~lambda ~choices:2 ~threshold:2 () );
-    ( "combined",
-      fun () ->
-        Meanfield.Combined_ws.model ~lambda ~threshold:4 ~choices:2
-          ~steal_count:2 () );
-    ( "rebalance",
-      fun () -> Meanfield.Rebalance_ws.model_uniform_rate ~lambda ~rate:0.5 ()
-    );
-    ("steal-half", fun () -> Meanfield.Steal_half_ws.model ~lambda ());
-    ( "transfer",
-      fun () ->
-        Meanfield.Transfer_ws.model ~lambda ~transfer_rate:0.25 ~threshold:4
-          () );
-    ( "hetero",
-      fun () ->
-        Meanfield.Heterogeneous_ws.model ~lambda ~fraction_fast:0.5
-          ~mu_fast:1.5 ~mu_slow:0.5 ~threshold:2 () );
-    ( "hyperexp",
-      fun () ->
-        Meanfield.Hyperexp_ws.model ~lambda ~p1:0.5 ~mu1:2.0 ~mu2:0.8 () );
-    ( "batch",
-      fun () ->
-        Meanfield.Batch_ws.model ~event_rate:(lambda /. 2.0) ~mean_batch:2.0
-          () );
-    ( "supermarket",
-      fun () -> Meanfield.Supermarket.model ~lambda ~choices:2 () );
-  ]
-
-let models =
-  [
-    ("mm1", fun () -> Meanfield.Mm1.model ~lambda:0.8 ());
-    ("simple", fun () -> Meanfield.Simple_ws.model ~lambda:0.8 ());
-    ("erlang", fun () -> Meanfield.Erlang_ws.model ~lambda:0.7 ~stages:2 ());
-    ( "threshold",
-      fun () -> Meanfield.Threshold_ws.model ~lambda:0.7 ~threshold:4 () );
-    ( "preemptive",
-      fun () ->
-        Meanfield.Preemptive_ws.model ~lambda:0.7 ~begin_at:1 ~offset:3 () );
-    ( "repeated",
-      fun () ->
-        Meanfield.Repeated_steal_ws.model ~lambda:0.7 ~retry_rate:1.0
-          ~threshold:2 () );
-    ( "multisteal",
-      fun () ->
-        Meanfield.Multi_steal_ws.model ~lambda:0.7 ~steal_count:2 ~threshold:4
-          () );
-    ( "multi-choice",
-      fun () ->
-        Meanfield.Multi_choice_ws.model ~lambda:0.8 ~choices:2 ~threshold:2 ()
-    );
-    ( "combined",
-      fun () ->
-        Meanfield.Combined_ws.model ~lambda:0.7 ~threshold:4 ~choices:2
-          ~steal_count:2 () );
-    ( "rebalance",
-      fun () -> Meanfield.Rebalance_ws.model_uniform_rate ~lambda:0.7 ~rate:0.5 ()
-    );
-    ("steal-half", fun () -> Meanfield.Steal_half_ws.model ~lambda:0.7 ());
-    ( "transfer",
-      fun () ->
-        Meanfield.Transfer_ws.model ~lambda:0.8 ~transfer_rate:0.25
-          ~threshold:4 () );
-    ( "hetero",
-      fun () ->
-        Meanfield.Heterogeneous_ws.model ~lambda:0.7 ~fraction_fast:0.5
-          ~mu_fast:1.5 ~mu_slow:0.5 ~threshold:2 () );
-    ( "hyperexp",
-      fun () ->
-        Meanfield.Hyperexp_ws.model ~lambda:0.7 ~p1:0.5 ~mu1:2.0 ~mu2:0.8 ()
-    );
-    ( "batch",
-      fun () -> Meanfield.Batch_ws.model ~event_rate:0.3 ~mean_batch:2.0 () );
-    ( "supermarket",
-      fun () -> Meanfield.Supermarket.model ~lambda:0.8 ~choices:2 () );
-  ]
-
 let find name =
   let name = String.lowercase_ascii name in
   List.find_opt (fun e -> String.lowercase_ascii e.name = name) all

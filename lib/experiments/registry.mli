@@ -12,18 +12,3 @@ val all : t list
 
 val find : string -> t option
 (** Lookup by [name] (case-insensitive). *)
-
-val models_at :
-  lambda:float -> (string * (unit -> Meanfield.Model.t)) list
-(** The same sixteen variants as {!models} with every arrival rate set to
-    [lambda] (structural parameters keep their representative values; the
-    batch model's event rate is scaled so its effective arrival rate is
-    [lambda]). Solver-agreement tests sweep this across loads. *)
-
-val models : (string * (unit -> Meanfield.Model.t)) list
-(** Every mean-field model variant the registered experiments
-    instantiate, under representative parameters. The test suite runs
-    {!Meanfield.Selfcheck} over each entry (one test case per model), so
-    adding a model here is how a new variant opts into the shared
-    runtime diagnostics. [Static_ws] is excluded: a finite drain has no
-    steady state for the fixed-point check. *)

@@ -1,17 +1,17 @@
 (** Model families the prediction service can answer for.
 
-    One family = one λ ↦ fixed-point curve: a model variant from
-    [Experiments.Registry], its structural parameters (defaults filled
-    from the registry's representative values), and a {e pinned}
-    truncation depth. The depth is part of the family rather than
-    derived from λ (as the CLI does via [Tail.suggested_dim]) because
-    the cache's two accelerations both need every state of a family to
-    share one dimension: warm starts only transfer between equal-dim
-    solves, and interpolating tail vectors componentwise requires the
-    components to line up. *)
+    One family = one λ ↦ fixed-point curve: an entry of
+    {!Meanfield.Catalog}, its parameters (defaults filled from the
+    catalog, values canonicalised), and a {e pinned} truncation depth.
+    The depth is part of the family rather than derived from λ (as the
+    CLI does via [Tail.suggested_dim]) because the cache's two
+    accelerations both need every state of a family to share one
+    dimension: warm starts only transfer between equal-dim solves, and
+    interpolating tail vectors componentwise requires the components to
+    line up. *)
 
 type t = {
-  name : string;  (** Lowercased registry name, e.g. ["multi-choice"]. *)
+  name : string;  (** Lowercased catalog name, e.g. ["multi-choice"]. *)
   family : string;  (** Canonical cache-key string, see {!Key.family}. *)
   params : (string * float) list;
       (** Canonical structural parameters, sorted by name, defaults
@@ -33,17 +33,16 @@ type t = {
 
 val default_depth : int
 (** Truncation depth used when the server is not configured otherwise
-    (96 — deep enough that every registry variant's tail mass beyond it
+    (96 — deep enough that every catalog family's tail mass beyond it
     is far below the solver tolerance at the loads the service sees). *)
-
-val names : string list
-(** All sixteen family names, in registry order. *)
 
 val resolve :
   ?depth:int -> name:string -> (string * float) list -> (t, string) result
-(** [resolve ~name params] validates [name] against the registry,
-    rejects unknown parameters and non-integral values for integer
-    parameters, fills defaults, canonicalises every value
-    ({!Key.canon_float}), and returns the family. The λ-dependent
-    [batch] family interprets λ as the {e effective} arrival rate
-    (event rate × mean batch), matching [Registry.models_at]. *)
+(** [resolve ~name params] rejects a depth below 2, then validates
+    [name] and [params] with {!Meanfield.Catalog.resolve} (unknown
+    names and parameters, non-integral or too large integer values),
+    canonicalises every value ({!Key.canon_float}), and returns the
+    family. The [batch] family interprets λ as the {e effective}
+    arrival rate (event rate × mean batch).
+    @raise Invalid_argument from {!Key.canon_float} on a non-finite
+    value. *)

@@ -4,7 +4,7 @@
 
     - [{"model": "threshold", "lambda": 0.9, "params": {"threshold": 4},
       "tail": 8}] — a single query. ["params"] (structural parameters,
-      defaults from the registry's representative values) and ["tail"]
+      defaults from {!Meanfield.Catalog}) and ["tail"]
       (include the first [k] state components as ["state"]) are
       optional.
     - [[q1, q2, …]] — a batch of such queries, answered through

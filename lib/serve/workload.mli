@@ -11,13 +11,13 @@
     the identical stream on every OCaml version and platform. *)
 
 type query = {
-  model : string;  (** Family name, see {!Families.names}. *)
-  params : (string * float) list;  (** Structural overrides (empty = registry defaults). *)
+  model : string;  (** Family name, see {!Meanfield.Catalog.names}. *)
+  params : (string * float) list;  (** Structural overrides (empty = catalog defaults). *)
   lambda : float;  (** Canonical arrival rate. *)
 }
 
 val default_models : string list
-(** Eight registry variants spanning the model zoo (single-tail and
+(** Eight catalog families spanning the model zoo (single-tail and
     multi-class). *)
 
 val stream :

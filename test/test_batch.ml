@@ -13,7 +13,7 @@
    - the scalar-bridge adapter and a hand-batched kernel must drive the
      whole solve to bit-identical results.
    Everything else is residual-certified agreement with the scalar
-   solver across the full registry zoo. *)
+   solver across every family of the catalog. *)
 
 open Meanfield
 open Numerics
@@ -194,12 +194,13 @@ let test_converged_column_bit_frozen () =
     "other column actually solved" true
     (fps.(1).Drive.evals > 10)
 
-(* ---------- registry zoo through the scalar-bridge adapter ---------- *)
+(* ---------- the catalog through the scalar-bridge adapter ---------- *)
 
 let test_registry_zoo () =
   let lambda = 0.7 in
   List.iter
-    (fun (name, build) ->
+    (fun name ->
+      let build () = Catalog.model ~name [] lambda in
       let models = [| build (); build (); build () |] in
       let mid =
         (* halfway between the empty and warm starts: still a valid
@@ -221,7 +222,7 @@ let test_registry_zoo () =
             (Printf.sprintf "%s[%d] at %g" name k lambda)
             models.(k) fp)
         fps)
-    (Experiments.Registry.models_at ~lambda)
+    Catalog.names
 
 let () =
   Alcotest.run "batch"

@@ -70,6 +70,23 @@ let test_fixed_point_rejects_unknown_solver () =
   let code, _ = run "fixed-point --model simple --lambda 0.8 --solver nope" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
+(* Every catalog family solves at its own defaults: no flag but λ, which
+   sits below hetero's stability edge (between 0.80 and 0.82). One case
+   for all families, so the group's case indices stay one digit wide and
+   the runner prints the other case names in full. *)
+let test_every_family_solves_at_defaults () =
+  List.iter
+    (fun name ->
+      let code, out =
+        run (Printf.sprintf "fixed-point --model %s --lambda 0.78" name)
+      in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      Alcotest.(check bool)
+        (name ^ " output mentions \"converged: true\"")
+        true
+        (contains out "converged: true"))
+    Meanfield.Catalog.names
+
 let test_fixed_point_rejects_unknown_model () =
   let code, _ = run "fixed-point --model no-such-model --lambda 0.8" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
@@ -177,6 +194,8 @@ let () =
             test_fixed_point_rejects_unknown_solver;
           Alcotest.test_case "rejects unknown model" `Quick
             test_fixed_point_rejects_unknown_model;
+          Alcotest.test_case "every family solves at defaults" `Quick
+            test_every_family_solves_at_defaults;
         ] );
       ( "bad input",
         List.map rejects
@@ -188,6 +207,8 @@ let () =
             "simulate --runs 0";
             "simulate --service bogus";
             "fixed-point --lambda 1.5";
+            "fixed-point --model simple --threshold 4";
+            "fixed-point --model erlang --stages 21";
           ] );
       ( "serve",
         [

@@ -154,7 +154,7 @@ let test_scalar_deriv_budget () =
           (Printf.sprintf "%s: %.1f words per deriv call (dim %d, budget %.0f)"
              name words dim budget)
           true (words <= budget))
-      Serve.Families.names
+      Meanfield.Catalog.names
 
 let words_of f =
   let w0 = Gc.minor_words () in

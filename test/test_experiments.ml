@@ -182,35 +182,126 @@ let test_table3_thresholds () =
     Experiments.Table3.thresholds;
   check_close 1e-9 "rate" 0.25 Experiments.Table3.transfer_rate
 
-(* ---------- registry model selfchecks ----------
+(* ---------- catalog model selfchecks ----------
 
-   One case per entry of Registry.models: every model variant the
-   experiments instantiate must pass the shared runtime diagnostics
-   (fixed point converges, invariants hold along a trajectory, fitted
-   tail ratio matches the model's prediction when it has one). *)
+   One case per catalog family: every model variant must pass the
+   shared runtime diagnostics (fixed point converges, invariants hold
+   along a trajectory, fitted tail ratio matches the model's prediction
+   when it has one) at its default parameters. *)
+
+(* The load each family's selfcheck runs at; the others run at 0.7.
+   batch's 0.6 is its arrival rate: event rate 0.3 × mean batch 2. *)
+let selfcheck_lambda name =
+  match
+    List.assoc_opt name
+      [
+        ("mm1", 0.8); ("simple", 0.8); ("multi-choice", 0.8);
+        ("transfer", 0.8); ("supermarket", 0.8); ("batch", 0.6);
+      ]
+  with
+  | Some lambda -> lambda
+  | None -> 0.7
 
 let selfcheck_cases =
   List.map
-    (fun (name, make) ->
+    (fun name ->
       Alcotest.test_case name `Quick (fun () ->
-          let report = Meanfield.Selfcheck.run (make ()) in
+          let model =
+            Meanfield.Catalog.model ~name [] (selfcheck_lambda name)
+          in
+          let report = Meanfield.Selfcheck.run model in
           if not (Meanfield.Selfcheck.passed report) then
             Alcotest.failf "%s failed selfcheck:@.%a" name
               Meanfield.Selfcheck.pp report))
-    Experiments.Registry.models
+    Meanfield.Catalog.names
 
 let test_models_cover_experiment_variants () =
-  (* guard against silently dropping a variant from the model registry:
-     the curated names every current experiment depends on must stay *)
-  let names = List.map fst Experiments.Registry.models in
+  (* guard against silently dropping a variant from the catalog: the
+     curated names every current experiment depends on must stay *)
   List.iter
     (fun required ->
       Alcotest.(check bool)
         (Printf.sprintf "%s registered" required)
-        true (List.mem required names))
+        true
+        (List.mem required Meanfield.Catalog.names))
     [ "mm1"; "simple"; "erlang"; "threshold"; "preemptive"; "repeated";
       "multisteal"; "multi-choice"; "combined"; "rebalance"; "steal-half";
       "transfer"; "hetero"; "hyperexp"; "batch"; "supermarket" ]
+
+(* Recorded from the four family lists the catalog replaced: per family,
+   the served key at its defaults, and the model name and dim its
+   λ-sized build gives at λ 0.9 and at its selfcheck load. The names
+   spell out every parameter, so they also pin the defaults. *)
+let catalog_golden =
+  [
+    ("mm1", "mm1()@96", "mm1(lambda=0.9)", 219, "mm1(lambda=0.8)", 104);
+    ( "simple", "simple()@96", "simple_ws(lambda=0.9)", 219,
+      "simple_ws(lambda=0.8)", 104 );
+    ( "erlang", "erlang(stages=2)@96", "erlang_ws(lambda=0.9, c=2)", 72,
+      "erlang_ws(lambda=0.7, c=2)", 50 );
+    ( "threshold", "threshold(threshold=4)@96",
+      "threshold_ws(lambda=0.9, T=4)", 219, "threshold_ws(lambda=0.7, T=4)",
+      65 );
+    ( "preemptive", "preemptive(begin_at=1,offset=3)@96",
+      "preemptive_ws(lambda=0.9, B=1, T=3)", 219,
+      "preemptive_ws(lambda=0.7, B=1, T=3)", 65 );
+    ( "repeated", "repeated(retry_rate=1,threshold=2)@96",
+      "repeated_steal_ws(lambda=0.9, r=1, T=2)", 219,
+      "repeated_steal_ws(lambda=0.7, r=1, T=2)", 65 );
+    ( "multisteal", "multisteal(steal_count=2,threshold=4)@96",
+      "multi_steal_ws(lambda=0.9, k=2, T=4)", 219,
+      "multi_steal_ws(lambda=0.7, k=2, T=4)", 65 );
+    ( "multi-choice", "multi-choice(choices=2,threshold=2)@96",
+      "multi_choice_ws(lambda=0.9, d=2, T=2)", 219,
+      "multi_choice_ws(lambda=0.8, d=2, T=2)", 104 );
+    ( "combined", "combined(choices=2,steal_count=2,threshold=4)@96",
+      "combined_ws(lambda=0.9, T=4, d=2, k=2)", 219,
+      "combined_ws(lambda=0.7, T=4, d=2, k=2)", 65 );
+    ( "rebalance", "rebalance(rate=0.5)@96", "rebalance_ws(lambda=0.9, r=0.5)",
+      219, "rebalance_ws(lambda=0.7, r=0.5)", 65 );
+    ( "steal-half", "steal-half(threshold=2)@96",
+      "steal_half_ws(lambda=0.9, T=2)", 219, "steal_half_ws(lambda=0.7, T=2)",
+      65 );
+    ( "transfer", "transfer(stages=1,threshold=4,transfer_rate=0.25)@96",
+      "transfer_ws(lambda=0.9, r=0.25, T=4)", 440,
+      "transfer_ws(lambda=0.8, r=0.25, T=4)", 210 );
+    ( "hetero",
+      "hetero(fraction_fast=0.5,mu_fast=1.5,mu_slow=0.5,threshold=2)@96",
+      "heterogeneous_ws(lambda=0.9, f=0.5, mu_f=1.5, mu_s=0.5, T=2)", 1538,
+      "heterogeneous_ws(lambda=0.7, f=0.5, mu_f=1.5, mu_s=0.5, T=2)", 1538 );
+    ( "hyperexp", "hyperexp(mu1=2,mu2=0.8,p1=0.5,threshold=2)@96",
+      "hyperexp_ws(lambda=0.9, p1=0.5, mu=(2,0.8), T=2)", 195,
+      "hyperexp_ws(lambda=0.7, p1=0.5, mu=(2,0.8), T=2)", 97 );
+    ( "batch", "batch(mean_batch=2,threshold=2)@96",
+      "batch_ws(rate=0.45, batch=2, T=2)", 310,
+      "batch_ws(rate=0.3, batch=2, T=2)", 68 );
+    ( "supermarket", "supermarket(choices=2)@96",
+      "supermarket(lambda=0.9, d=2)", 219, "supermarket(lambda=0.8, d=2)",
+      104 );
+  ]
+
+let test_catalog_golden () =
+  Alcotest.(check (list string))
+    "families, in order"
+    (List.map (fun (name, _, _, _, _, _) -> name) catalog_golden)
+    Meanfield.Catalog.names;
+  List.iter
+    (fun (name, key, at_09, dim_09, at_own, dim_own) ->
+      (match Serve.Families.resolve ~name [] with
+      | Ok fam ->
+          Alcotest.(check string) (name ^ " key") key fam.Serve.Families.family
+      | Error e -> Alcotest.failf "%s should resolve: %s" name e);
+      List.iter
+        (fun (lambda, expected, dim) ->
+          let m = Meanfield.Catalog.model ~name [] lambda in
+          Alcotest.(check string)
+            (Printf.sprintf "%s name at %g" name lambda)
+            expected m.Meanfield.Model.name;
+          Alcotest.(check int)
+            (Printf.sprintf "%s dim at %g" name lambda)
+            dim m.Meanfield.Model.dim)
+        [ (0.9, at_09, dim_09); (selfcheck_lambda name, at_own, dim_own) ])
+    catalog_golden
 
 let () =
   Alcotest.run "experiments"
@@ -243,6 +334,7 @@ let () =
       ( "model-selfcheck",
         Alcotest.test_case "covers all variants" `Quick
           test_models_cover_experiment_variants
+        :: Alcotest.test_case "catalog golden" `Quick test_catalog_golden
         :: selfcheck_cases );
       ( "computations",
         [

@@ -884,13 +884,14 @@ let qcheck_solvers_match_closed_forms =
         [ `Rk4; `Rk45; `Newton ])
 
 let test_newton_agrees_across_registry () =
-  (* All sixteen registry variants, light to near-critical load: the
+  (* Every catalog family, light to near-critical load: the
      hybrid Newton path and the seed RK4 relaxation must converge to
      the same steady-state mean time. *)
   List.iter
     (fun lambda ->
       List.iter
-        (fun (name, build) ->
+        (fun name ->
+          let build () = Catalog.model ~name [] lambda in
           (* the pairwise-rebalancing tail at lambda = 0.99 decays at
              ratio ~lambda, so at dim = 512 the boundary closure leaves
              an irreducible residual floor of ~9.3e-9, uniform across
@@ -925,7 +926,7 @@ let test_newton_agrees_across_registry () =
           Alcotest.(check bool)
             (Printf.sprintf "%s agrees at %g (rel %.2e)" name lambda rel)
             true (rel < rel_bound))
-        (Experiments.Registry.models_at ~lambda))
+        Catalog.names)
     [ 0.5; 0.9; 0.99 ]
 
 (* ---------- Newton corrector ---------- *)
@@ -936,7 +937,7 @@ let served_families () =
       match Serve.Families.resolve ~name [] with
       | Ok fam -> fam
       | Error e -> failwith e)
-    Serve.Families.names
+    Catalog.names
 
 let test_flat_tail_refused () =
   let m = Simple_ws.model ~lambda:0.82 ~dim:96 () in

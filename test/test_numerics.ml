@@ -517,7 +517,7 @@ let test_sparse_lu_per_structure () =
               true (backward <= 1e-13)
           end)
         [ 1e-7; 1e-4; 1e-2 ])
-    Serve.Families.names
+    Meanfield.Catalog.names
 
 (* ---------- Interp ---------- *)
 

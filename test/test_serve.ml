@@ -119,6 +119,41 @@ let test_families_resolve () =
   | Ok _ -> Alcotest.fail "non-integral integer parameter accepted"
   | Error _ -> ()
 
+(* The integer parameters that scale a solve's cost are capped, so one
+   wire line cannot pin a daemon domain: before the caps, a cold erlang
+   answer at 200 stages took 11.5 s and multi-choice at 1000 choices
+   51.7 s. *)
+let test_families_cap_solve_cost () =
+  List.iter
+    (fun (name, k, cap) ->
+      (match Families.resolve ~name [ (k, float_of_int cap) ] with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "%s at %s = %d should resolve: %s" name k cap e);
+      match Families.resolve ~name [ (k, float_of_int (cap + 1)) ] with
+      | Ok _ -> Alcotest.failf "%s at %s = %d resolved" name k (cap + 1)
+      | Error e ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s rejects %s = %d" name k (cap + 1))
+            (Printf.sprintf "parameter %S of model %S must be at most %d" k
+               name cap)
+            e)
+    [
+      ("erlang", "stages", 20);
+      ("transfer", "stages", 20);
+      ("multi-choice", "choices", 32);
+      ("combined", "choices", 32);
+      ("supermarket", "choices", 32);
+    ];
+  let resp =
+    Protocol.handle_line (Server.create ())
+      "{\"model\":\"erlang\",\"lambda\":0.5,\"params\":{\"stages\":21}}"
+  in
+  Alcotest.(check string) "the daemon refuses stages 21"
+    "{\"ok\":false,\"error\":\"parameter \\\"stages\\\" of model \
+     \\\"erlang\\\" must be at most 20\"}"
+    resp
+
 let test_families_build_shares_dim () =
   (* the pinned depth exists so every lambda of a family shares one
      state dimension — what warm starts and interpolation both need
@@ -841,6 +876,8 @@ let () =
       ( "families",
         [
           Alcotest.test_case "resolve" `Quick test_families_resolve;
+          Alcotest.test_case "caps solve-cost parameters" `Quick
+            test_families_cap_solve_cost;
           Alcotest.test_case "build shares one dim" `Quick
             test_families_build_shares_dim;
         ] );
